@@ -4,8 +4,9 @@ Three series, three artifacts:
 
 * ``results/serving.txt`` — the PR-4 table
   (:func:`repro.eval.experiments.serving_throughput`): one warmed
-  :class:`~repro.serving.Session` per compiled VWW model, requests/sec
-  of batched dispatch vs a per-request ``execution="fast"`` loop;
+  ``execution="fast"`` :class:`~repro.serving.Session` per compiled VWW
+  model, requests/sec of stacked batches vs a per-request
+  ``execution="fast"`` loop;
 * ``results/dispatch.txt`` — the PR-5 table
   (:func:`repro.eval.experiments.dispatch_serving`): three tenants
   behind a 4-worker :class:`~repro.serving.Dispatcher` under an

@@ -12,9 +12,9 @@ backend long enough to trip the circuit breaker.  The drill shows
 * **supervision** — the crashed worker is respawned and the crash is
   recorded in the audit trail;
 * **degradation** — the breaker opens after consecutive backend
-  failures, batches fall back from ``"turbo"`` to ``"batched"`` (bit
-  for bit identical, just slower), and a cooldown probe restores the
-  primary once the brown-out clears.
+  failures, batches fall back from ``"turbo"`` to ``"fast"`` (still
+  stacked and template-replayed, bit for bit identical, just slower),
+  and a cooldown probe restores the primary once the brown-out clears.
 
 Every decision is a pure hash of ``(seed, site, key)``, so the same
 requests are poisoned on every run — chaos you can put in CI.

@@ -2,17 +2,20 @@
 
 The compiler already amortizes planning (PlanCache) and the fast backend
 already amortizes simulation away — but a per-request ``run`` loop still
-re-derives the analytic cost events and re-promotes weights on every call.
-A :class:`repro.serving.Session` freezes all of that at construction:
+re-derives the analytic cost events on every call.  A
+:class:`repro.serving.Session` freezes all of that at construction:
 
 * plans        — solved once at compile time,
-* weights      — promoted to int32 GEMM operands once (``cached_pack``),
+* weights      — promoted to GEMM operands once (``cached_pack``),
 * cost model   — a per-stage template derived once from the plan and
                  replayed for every request (bit-identical to simulate).
 
-What remains per request is one stacked int32 GEMM per stage across the
-whole batch.  Outputs and per-request cost reports are bit-identical to
-serving each request alone — batching changes wall clock, never bits.
+What remains per request is one stacked GEMM per stage across the whole
+batch, on the default ``"turbo"`` backend an exact float64 BLAS GEMM.
+The comparison below is that session against a per-call
+``execution="fast"`` loop.  Outputs and per-request cost reports are
+bit-identical to serving each request alone — batching and BLAS change
+wall clock, never bits.
 
 Run:  python examples/serving_throughput.py
 """

@@ -41,6 +41,8 @@ __all__ = [
     "get_execution_backend",
     "execution_backends",
     "cached_pack",
+    "CostTemplate",
+    "cached_template",
     "memoized_default_plan",
     "pack_i32",
     "pack_f64",
@@ -80,11 +82,12 @@ class ExecutionBackend:
     The shipped backends are ``"simulate"`` (the per-segment pool replay
     that audits every RAMLoad/RAMStore/RAMFree against the plan),
     ``"fast"`` (vectorized im2col + int32-GEMM NumPy execution with the pool
-    traffic and profiler costs derived analytically from the plan) and
-    ``"batched"`` (the serving path: stacked GEMMs across a request batch
-    with per-plan cost-template replay).  All produce bit-identical outputs
-    and cost reports; the latter two trade the per-segment race auditing
-    for orders-of-magnitude lower wall clock.
+    traffic and profiler costs derived analytically from the plan, and
+    stacked batches with per-plan cost-template replay for serving) and
+    ``"turbo"`` (``"fast"`` with exact float64 BLAS arithmetic).  All
+    produce bit-identical outputs and cost reports; the latter two trade
+    the per-segment race auditing for orders-of-magnitude lower wall
+    clock.
 
     A backend implements one method per kernel family, each returning a
     :class:`KernelRun`, plus :meth:`run_pipeline` for whole-chain execution
@@ -122,7 +125,7 @@ class ExecutionBackend:
 
         The default dispatches per request; backends that can amortize
         across the batch (one stacked GEMM per stage, shared cost
-        template) override this — see ``repro.kernels.batched``.
+        template) override this — see ``repro.kernels.fastpath``.
         """
         return [
             self.run_pipeline(pipeline, plan, x, strict=strict) for x in xs
@@ -278,45 +281,90 @@ def pack_f64(w: np.ndarray, seg: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
+# cost-template cache
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class CostTemplate:
+    """Per-stage cost reports and final pool statistics of one request.
+
+    Both are input-independent for a fixed plan: the fast backend derives
+    them from plan geometry alone, so one derivation serves every request
+    on every backend.  ``stage_reports`` are the per-stage deltas a
+    shared-profiler pipeline run records; ``pool_stats`` is the
+    cumulative counter state after one whole-chain execution (the object
+    every stage's ``KernelRun`` shares).
+    """
+
+    stage_reports: tuple[CostReport, ...]
+    pool_stats: PoolStats
+
+
+#: (id(plan), device name) -> (weakref to plan, template).  One cache for
+#: every backend: the modeled cost is a property of the plan, not of the
+#: arithmetic that derived it.  The weakref both guards against id()
+#: reuse and evicts dead plans.
+_TEMPLATE_CACHE: dict[tuple[int, str], tuple[weakref.ref, CostTemplate]] = {}
+#: guards _TEMPLATE_CACHE: sharded dispatcher workers share it, so
+#: lookup/derive/insert must be atomic.  Held across the derivation so
+#: each plan's template is derived exactly once.
+_TEMPLATE_LOCK = threading.Lock()
+
+
+def cached_template(
+    plan, device_name: str, derive: Callable[[], CostTemplate]
+) -> CostTemplate:
+    """Memoized ``derive()`` keyed by ``(id(plan), device_name)``.
+
+    Same weakref discipline as :func:`cached_pack`; plans that cannot be
+    weakly referenced are derived every call instead of cached.
+    """
+    key = (id(plan), device_name)
+    with _TEMPLATE_LOCK:
+        hit = _TEMPLATE_CACHE.get(key)
+        if hit is not None and hit[0]() is plan:
+            return hit[1]
+        template = derive()
+
+        def _evict(_ref, key=key):
+            _TEMPLATE_CACHE.pop(key, None)
+
+        try:
+            ref = weakref.ref(plan, _evict)
+        except TypeError:
+            return template
+        _TEMPLATE_CACHE[key] = (ref, template)
+        return template
+
+
+# --------------------------------------------------------------------------- #
 # fork safety
 # --------------------------------------------------------------------------- #
-def _serving_locks() -> list:
-    """Every serving-path lock a forked child may take.
+def _serving_locks() -> tuple[threading.Lock, ...]:
+    """Every serving-path lock a forked child may take, in nesting order.
 
     ``fork()`` copies a mutex held by another thread into the child in
     its locked state, where no thread will ever release it — the first
     ``cached_pack`` or template lookup in the child would then deadlock.
     The process-mode dispatcher forks worker pools, so fork must happen
     at a quiescent point for these locks: the before-handler acquires
-    them all (waiting out any in-flight serving work), and both
-    after-handlers release them again.  All are plain ``Lock``\\ s, so
-    the child's release needs no owner check.
+    them (waiting out any in-flight serving work), and both
+    after-handlers release them again.  The template lock comes first
+    because a template derivation packs weights, so acquiring in this
+    order can never deadlock against a worker.  Both are plain
+    ``Lock``\\ s, so the child's release needs no owner check.
     """
-    locks = [_PACK_LOCK]
-    for backend in _EXECUTION_BACKENDS.values():
-        lock = getattr(backend, "_template_lock", None)
-        if lock is not None:
-            locks.append(lock)
-    return locks
+    return (_TEMPLATE_LOCK, _PACK_LOCK)
 
 
 def _before_fork() -> None:
-    # template locks first, then the pack lock — the same order the
-    # serving path nests them (pipeline_template -> cached_pack), so the
-    # handler can never deadlock against a worker
-    held = _serving_locks()
-    for lock in reversed(held):
+    for lock in _serving_locks():
         lock.acquire()
-    _FORK_HELD.append(held)
 
 
 def _after_fork() -> None:
-    if _FORK_HELD:
-        for lock in _FORK_HELD.pop():
-            lock.release()
+    for lock in _serving_locks():
+        lock.release()
 
-
-_FORK_HELD: list[list] = []
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(

@@ -22,9 +22,26 @@ same way TinyEngine splits analysis from generated kernels:
 
 What the fast path does *not* do is race-check: it trusts the plan.  Use
 ``execution="simulate"`` when auditing a new planner or segment policy.
+
+For serving, :meth:`FastBackend.run_pipeline_batch` also amortizes what a
+per-request :meth:`~FastBackend.run_pipeline` pays on every call but never
+depends on the request:
+
+* **event generation** depends only on the plan geometry, so one dry run
+  on a zero input yields a :class:`~repro.kernels.base.CostTemplate` that
+  is replayed for every request — bit-identical to what
+  ``execution="simulate"`` reports for any input.  The template cache is
+  shared by every backend (:func:`~repro.kernels.base.cached_template`);
+* **per-input dispatch**: the batch is stacked into one
+  ``[B * pixels, C]`` GEMM per stage, through the *same* batch-axis
+  helpers a per-request run calls with a batch of one, so there is exactly
+  one copy of the arithmetic and stacked-vs-single parity holds by
+  construction.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,9 +50,11 @@ from repro.core.multilayer import compose_receptive_field
 from repro.core.pool import PoolStats
 from repro.errors import KernelError, ShapeError
 from repro.kernels.base import (
+    CostTemplate,
     ExecutionBackend,
     KernelRun,
     cached_pack,
+    cached_template,
     pack_i32,
     register_execution_backend,
 )
@@ -43,6 +62,21 @@ from repro.mcu.profiler import Profiler
 from repro.quant import requantize
 
 __all__ = ["FastBackend"]
+
+#: lazily bound :func:`repro.serving.faults.perhaps` — the kernels layer
+#: sits below serving, so the fault hook is resolved on first use instead
+#: of imported at module load (which would cycle through serving's init).
+_perhaps = None
+
+
+def _fault_hook(site: str) -> None:
+    """Fire ``site`` against the thread's scoped fault injector, if any."""
+    global _perhaps
+    if _perhaps is None:
+        from repro.serving.faults import perhaps
+
+        _perhaps = perhaps
+    _perhaps(site)
 
 
 # --------------------------------------------------------------------------- #
@@ -206,8 +240,8 @@ class FastBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # Every pipeline-stage family's whole-tensor arithmetic lives here
     # once, over a leading batch axis.  The per-kernel fast methods below
-    # call them with a batch of one; the batched serving backend stacks
-    # whole request batches through the same code.  int32 accumulation
+    # call them with a batch of one; run_pipeline_batch stacks whole
+    # request batches through the same code.  int32 accumulation
     # wraps modulo 2**32 independently of summation order and each output
     # row depends only on its own input row, so batch size never changes
     # the bits.
@@ -805,6 +839,108 @@ class FastBackend(ExecutionBackend):
             act = run.output
         result.output = act
         return result
+
+    # ------------------------------------------------------------------ #
+    # plan-once/run-many: cost template + stacked batches
+    # ------------------------------------------------------------------ #
+    def pipeline_template(self, pipeline, plan) -> CostTemplate:
+        """Build (or fetch) the plan's cost template.
+
+        One dry :meth:`run_pipeline` on a zero input performs exactly the
+        analytic event generation the template must capture; its numeric
+        half runs on this backend's arithmetic (BLAS for ``"turbo"``) and
+        is the one-time price of not duplicating the event code.
+        """
+
+        def derive() -> CostTemplate:
+            x0 = np.zeros(
+                (pipeline.input_hw, pipeline.input_hw, pipeline.input_c),
+                dtype=np.int8,
+            )
+            dry = self.run_pipeline(pipeline, plan, x0)
+            return CostTemplate(
+                stage_reports=tuple(r.report for r in dry.stage_runs),
+                pool_stats=replace(dry.stage_runs[-1].pool_stats),
+            )
+
+        return cached_template(plan, pipeline.device.name, derive)
+
+    def _run_stacked(self, pipeline, plan, xb) -> list[np.ndarray]:
+        """One stacked pass; returns each stage's ``[B, *single_shape]``."""
+        from repro.runtime.pipeline import (
+            BottleneckStage,
+            DenseStage,
+            GlobalAvgPoolStage,
+            PointwiseStage,
+        )
+
+        acts: list[np.ndarray] = []
+        act = xb
+        for sp, stage in zip(plan.stages, pipeline.stages):
+            if isinstance(stage, PointwiseStage):
+                act = self._pointwise_batch(
+                    sp.kernel, act, stage.weights, stage.mult
+                )
+            elif isinstance(stage, BottleneckStage):
+                act = self._bottleneck_batch(
+                    sp.kernel, act, stage.w_expand, stage.w_dw,
+                    stage.w_project, tuple(stage.mults),
+                )
+            elif isinstance(stage, GlobalAvgPoolStage):
+                act = self._avgpool_batch(sp.kernel, act, stage.mult)
+            elif isinstance(stage, DenseStage):
+                act = self._dense_batch(
+                    sp.kernel, act, stage.weights, stage.mult
+                )
+            else:
+                raise KernelError(
+                    f"unknown stage type {type(stage).__name__}"
+                )
+            acts.append(act)
+        return acts
+
+    def run_pipeline_batch(self, pipeline, plan, xs, *, strict=True):
+        """Run ``xs`` through the chain as one stacked pass per stage.
+
+        Returns one :class:`~repro.runtime.pipeline.PipelineResult` per
+        request: per-stage outputs are views into the stacked activations,
+        per-stage reports are the shared cost template's (bit-identical to
+        a per-request simulate/fast run), and each request carries its own
+        copy of the template's cumulative pool statistics.
+        """
+        from repro.runtime.pipeline import PipelineResult
+
+        _fault_hook(f"backend.{self.name}")
+        if len(xs) == 0:
+            raise KernelError("run_pipeline_batch needs a non-empty batch")
+        first = np.asarray(xs[0])
+        for i, x in enumerate(xs):
+            x = np.asarray(x)
+            if x.dtype != np.int8:
+                raise ShapeError(f"request {i}: inputs must be int8")
+            if x.shape != first.shape:
+                raise ShapeError(
+                    f"request {i}: shape {x.shape} != {first.shape}; "
+                    "a batch must be uniformly shaped"
+                )
+        template = self.pipeline_template(pipeline, plan)
+        acts = self._run_stacked(pipeline, plan, np.stack(xs))
+
+        results = []
+        for i in range(len(xs)):
+            stats = replace(template.pool_stats)
+            result = PipelineResult(output=acts[-1][i], plan=plan)
+            result.stage_runs = [
+                KernelRun(
+                    output=acts[j][i],
+                    plan=sp.plan,
+                    pool_stats=stats,
+                    report=template.stage_reports[j],
+                )
+                for j, sp in enumerate(plan.stages)
+            ]
+            results.append(result)
+        return results
 
 
 def _recompute_events(

@@ -2,7 +2,7 @@
 
 The paper evaluates on two STM32 boards; with no hardware available this
 package provides the simulated equivalent: device profiles with the memory
-capacities and clock rates of the real parts, byte-level SRAM/Flash models,
+capacities and clock rates of the real parts, a byte-level SRAM model,
 an instruction cost table for the Cortex-M instructions the paper's
 intrinsics lower to (SMLAD, SADD16, PKHBT, LDR/STR, memcpy), and an energy
 model that charges nanojoules per cycle and per memory access — the two
@@ -16,7 +16,7 @@ from repro.mcu.device import (
     DEVICES,
     get_device,
 )
-from repro.mcu.memory import Flash, SRAM
+from repro.mcu.memory import SRAM
 from repro.mcu.isa import Instruction, InstructionSet, CORTEX_M4_ISA, CORTEX_M7_ISA
 from repro.mcu.energy import EnergyModel, EnergyBreakdown
 from repro.mcu.profiler import Profiler, CostReport
@@ -27,7 +27,6 @@ __all__ = [
     "STM32F767ZI",
     "DEVICES",
     "get_device",
-    "Flash",
     "SRAM",
     "Instruction",
     "InstructionSet",

@@ -1,18 +1,18 @@
-"""Byte-level SRAM and Flash models.
+"""Byte-level SRAM model.
 
 MCUs have no cache and no OS (paper Section 2.1): programs address a flat
-SRAM directly and read constant weights from memory-mapped Flash.  These two
-classes model exactly that — flat byte arrays with access counting — and are
-the storage layer beneath :class:`repro.core.pool.CircularSegmentPool`.
+SRAM directly.  :class:`SRAM` models exactly that — a flat byte array with
+access counting — and is the storage layer beneath
+:class:`repro.core.pool.CircularSegmentPool`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import OutOfMemoryError, SegmentStateError
+from repro.errors import OutOfMemoryError
 
-__all__ = ["SRAM", "Flash"]
+__all__ = ["SRAM"]
 
 
 class SRAM:
@@ -67,60 +67,3 @@ class SRAM:
     def snapshot(self) -> np.ndarray:
         """Copy of the full SRAM contents (for debugging/tests); not counted."""
         return self._data.copy()
-
-
-class Flash:
-    """Read-only weight storage.
-
-    Regions are registered once (at "link time", mirroring how the ARM
-    toolchain places constant arrays in .rodata) and then read by name.
-    Writing after registration is impossible, like the real part at run time.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError(f"Flash capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self._regions: dict[str, np.ndarray] = {}
-        self._used = 0
-        self.bytes_read = 0
-
-    def register(self, name: str, data: np.ndarray) -> None:
-        """Place a constant array into Flash under ``name``."""
-        if name in self._regions:
-            raise SegmentStateError(f"flash region {name!r} already registered")
-        blob = np.ascontiguousarray(data).view(np.uint8).ravel().copy()
-        if self._used + blob.size > self.capacity:
-            raise OutOfMemoryError(
-                requested=self._used + blob.size,
-                capacity=self.capacity,
-                what=f"flash region {name!r}",
-            )
-        blob.flags.writeable = False
-        self._regions[name] = blob
-        self._used += blob.size
-
-    def read(self, name: str, offset: int, size: int) -> np.ndarray:
-        """Read ``size`` bytes of region ``name`` starting at ``offset``."""
-        try:
-            region = self._regions[name]
-        except KeyError:
-            raise SegmentStateError(f"unknown flash region {name!r}") from None
-        if offset < 0 or offset + size > region.size:
-            raise OutOfMemoryError(
-                requested=offset + size,
-                capacity=region.size,
-                what=f"flash read from {name!r}",
-            )
-        self.bytes_read += size
-        return region[offset : offset + size]
-
-    def region_size(self, name: str) -> int:
-        return self._regions[name].size
-
-    @property
-    def used(self) -> int:
-        return self._used
-
-    def reset_counters(self) -> None:
-        self.bytes_read = 0

@@ -35,8 +35,8 @@ seedable :class:`FaultPlan` injects reproducible faults at named points
 requests so innocent co-batched tickets still succeed, a supervisor
 respawns crashed workers and rebuilds broken process pools, and a
 per-(tenant, backend) :class:`CircuitBreaker` degrades a failing
-``"turbo"`` session to ``"batched"``/``"fast"`` — bit-exact by
-construction, so degradation is invisible to outputs — then probes its
+``"turbo"`` session to ``"fast"`` — bit-exact by construction, so
+degradation is invisible to outputs — then probes its
 way back after cooldown.  Every crash, restart and degradation is an
 audited event in the control plane's trail.
 

@@ -6,8 +6,9 @@ backend in this repo is bit-exact by construction:
 * :class:`CircuitBreaker` — per-(tenant, backend) failure tracking.
   After ``breaker_threshold`` consecutive failures on a tenant's
   primary backend the breaker **opens**: subsequent batches run on the
-  next backend down :data:`DEGRADE_CHAIN` (``"turbo"`` → ``"batched"``
-  → ``"fast"``), trading BLAS-rate arithmetic for whatever still works.
+  fallback in :data:`DEGRADE_CHAIN` (``"turbo"`` → ``"fast"``, which
+  still stacks the batch and replays the shared cost template), trading
+  BLAS-rate arithmetic for int32 GEMMs.
   After ``breaker_cooldown_s`` one batch **probes** the primary; success
   closes the breaker, failure re-arms the cooldown.  Degrading changes
   wall clock, never bits — the whole point of keeping every backend
@@ -40,7 +41,7 @@ __all__ = ["DEGRADE_CHAIN", "CircuitBreaker", "supervisor_loop"]
 #: graceful-degradation order; backends absent from the map (``"fast"``,
 #: ``"simulate"``, user backends) have nothing to degrade to and their
 #: breakers stay inert
-DEGRADE_CHAIN = {"turbo": "batched", "batched": "fast"}
+DEGRADE_CHAIN = {"turbo": "fast"}
 
 
 class CircuitBreaker:

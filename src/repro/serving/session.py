@@ -6,19 +6,20 @@ depend on the request:
 * **plans** — already solved (and cached in the
   :class:`~repro.compiler.cache.PlanCache`) at compile time; the session
   never re-plans;
-* **packed weights** — every stage weight is promoted to its int32 GEMM
-  operand once through :func:`~repro.kernels.base.cached_pack` at session
-  construction (mutating a weight array in place between requests triggers
-  a re-pack via the cache's content digest; dropping the model evicts the
-  entries via weakrefs);
+* **packed weights** — every stage weight is promoted to each GEMM
+  operand layout the backend declares once through
+  :func:`~repro.kernels.base.cached_pack` at session construction
+  (mutating a weight array in place between requests triggers a re-pack
+  via the cache's content digest; dropping the model evicts the entries
+  via weakrefs);
 * **cost template** — the per-stage analytic
   :class:`~repro.mcu.profiler.CostReport` sequence is derived once per
   segment plan and replayed for every request, so per-request cost
   accounting is a pointer copy yet stays bit-identical to
   ``execution="simulate"``.
 
-What remains per request is exactly the arithmetic: one stacked int32 GEMM
-per stage across the batch.  :meth:`Session.run` serves one request,
+What remains per request is exactly the arithmetic: one stacked GEMM per
+stage across the batch.  :meth:`Session.run` serves one request,
 :meth:`Session.run_batch` a whole batch; both return
 :class:`RequestResult`s carrying the output tensor(s) and a
 :class:`RequestStats` (host latency, queue depth, modeled stage costs).
@@ -133,11 +134,12 @@ class Session:
         The planned model to serve.
     execution:
         Name of the registered execution backend used for dispatch.  The
-        default ``"batched"`` backend executes each stage as one stacked
-        GEMM across the batch; ``"turbo"`` additionally runs the GEMMs
-        at BLAS rate (still bit-exact); any registered backend works
-        (falling back to per-request dispatch), which keeps the serving
-        layer decoupled from any single backend implementation.
+        default ``"turbo"`` backend executes each stage as one stacked
+        exact float64 BLAS GEMM across the batch; ``"fast"`` stacks the
+        same batch through int32 GEMMs (bit-identical, slower); any
+        registered backend works (``"simulate"`` falls back to
+        per-request dispatch), which keeps the serving layer decoupled
+        from any single backend implementation.
     max_batch:
         Upper bound on one ``run_batch`` dispatch.  The stacked
         activations of a batch are materialized at once, so an unbounded
@@ -161,7 +163,7 @@ class Session:
         self,
         compiled,
         *,
-        execution: str = "batched",
+        execution: str = "turbo",
         max_batch: int = 256,
         faults: "_faults.FaultPlan | _faults.FaultInjector | None" = None,
     ):
@@ -263,10 +265,11 @@ class Session:
 
         ``execution`` overrides the session's backend for this one batch
         — how the dispatcher's circuit breaker degrades a failing
-        ``"turbo"`` session to ``"batched"``/``"fast"`` without
-        re-warming anything.  Every registered backend is bit-exact and
-        the modeled cost is plan-determined, so the session's frozen
-        cost template stays valid under the override.
+        ``"turbo"`` session to ``"fast"`` without re-warming anything.
+        Every registered backend is bit-exact and the modeled cost is
+        plan-determined, so the session's frozen cost template stays
+        valid under the override (and the backends share one template
+        cache, so the fallback re-derives nothing).
         """
         if len(requests) == 0:
             raise CompileError("run_batch needs at least one request")
@@ -354,13 +357,13 @@ class Session:
         processes return raw output tensors (small IPC payload) and the
         parent attaches the session's cost template — valid because the
         modeled cost is plan-determined, not data-determined.  Requires a
-        template-carrying backend (``"batched"``/``"turbo"``).
+        template-carrying backend (``"fast"``/``"turbo"``).
         """
         if self._report is None:
             raise ServingError(
                 f"execution backend {self.execution!r} carries no cost "
                 "template; package_results needs a template backend such "
-                "as 'batched' or 'turbo'"
+                "as 'fast' or 'turbo'"
             )
         self._check_structure()
         return self._assemble(list(outputs_list), None, None, latency_s)

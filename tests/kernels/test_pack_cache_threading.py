@@ -1,20 +1,27 @@
-"""cached_pack thread-safety: sharded serving workers share the memo.
+"""Serving-cache thread-safety: sharded workers share the memos.
 
 Complements ``tests/serving/test_pack_cache_serving.py`` (staleness and
-eviction, single-threaded) with the satellite's 8-thread hammer: one
-array is packed exactly once no matter how many workers race, and
-per-thread mutation of private arrays never cross-contaminates.
+eviction, single-threaded) with 8-thread hammers: one array is packed
+exactly once no matter how many workers race, per-thread mutation of
+private arrays never cross-contaminates, and one plan's cost template is
+derived exactly once even when ``"fast"`` and ``"turbo"`` workers race
+for it.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 
+from repro.kernels import FastBackend, get_execution_backend
 from repro.kernels.base import cached_pack, pack_f64, pack_i32
+from repro.quant import quantize_multiplier
+from repro.runtime.pipeline import Pipeline, PointwiseStage
 
 N_THREADS = 8
+JOIN_TIMEOUT_S = 60.0
 
 
 def _hammer(n_threads, fn):
@@ -34,7 +41,8 @@ def _hammer(n_threads, fn):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(JOIN_TIMEOUT_S)
+    assert not any(t.is_alive() for t in threads), "hammer timed out"
     assert not errors, errors
 
 
@@ -87,3 +95,48 @@ def test_private_mutation_under_contention_stays_fresh():
             np.testing.assert_array_equal(packed, w.astype(np.int32))
 
     _hammer(N_THREADS, work)
+
+
+def test_template_derived_once_across_backends(monkeypatch):
+    rng = np.random.default_rng(3)
+    # three stages at 16x16 keep the dry run long enough that racing
+    # workers overlap it (an unlocked cache then derives several times)
+    pipe = Pipeline(16, 8)
+    for i, (c, k) in enumerate(((8, 16), (16, 16), (16, 8))):
+        pipe.add(
+            PointwiseStage(
+                name=f"pw{i}",
+                weights=rng.integers(-128, 128, size=(c, k), dtype=np.int8),
+                mult=quantize_multiplier(0.02),
+            )
+        )
+    plan = pipe.plan()
+    backends = [get_execution_backend(n) for n in ("fast", "turbo")]
+    derivations = []
+    seen_ids = set()
+    lock = threading.Lock()
+    analytic = FastBackend.run_pipeline
+
+    def counting(self, *args, **kwargs):
+        with lock:
+            derivations.append(self.name)
+        return analytic(self, *args, **kwargs)
+
+    monkeypatch.setattr(FastBackend, "run_pipeline", counting)
+
+    def work(i):
+        for _ in range(50):
+            template = backends[i % 2].pipeline_template(pipe, plan)
+            with lock:
+                seen_ids.add(id(template))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _hammer(N_THREADS, work)
+    finally:
+        sys.setswitchinterval(interval)
+    # one dry run on whichever backend won the race; every thread, on
+    # either backend, received that one template
+    assert len(derivations) == 1
+    assert len(seen_ids) == 1

@@ -1,10 +1,10 @@
-"""Tests for the SRAM/Flash byte models."""
+"""Tests for the SRAM byte model."""
 
 import numpy as np
 import pytest
 
-from repro.errors import OutOfMemoryError, SegmentStateError
-from repro.mcu.memory import Flash, SRAM
+from repro.errors import OutOfMemoryError
+from repro.mcu.memory import SRAM
 
 
 class TestSRAM:
@@ -55,54 +55,3 @@ class TestSRAM:
         ram.write(0, signed.view(np.uint8))
         back = ram.read(0, 4).view(np.int8)
         np.testing.assert_array_equal(back, signed)
-
-
-class TestFlash:
-    def test_register_and_read(self):
-        fl = Flash(1024)
-        fl.register("w", np.arange(10, dtype=np.uint8))
-        assert fl.read("w", 2, 3).tolist() == [2, 3, 4]
-        assert fl.region_size("w") == 10
-        assert fl.used == 10
-
-    def test_register_rejects_duplicates(self):
-        fl = Flash(64)
-        fl.register("w", np.zeros(4, dtype=np.uint8))
-        with pytest.raises(SegmentStateError):
-            fl.register("w", np.zeros(4, dtype=np.uint8))
-
-    def test_capacity_enforced(self):
-        fl = Flash(8)
-        with pytest.raises(OutOfMemoryError):
-            fl.register("big", np.zeros(9, dtype=np.uint8))
-
-    def test_unknown_region(self):
-        fl = Flash(8)
-        with pytest.raises(SegmentStateError):
-            fl.read("nope", 0, 1)
-
-    def test_out_of_region_read(self):
-        fl = Flash(64)
-        fl.register("w", np.zeros(4, dtype=np.uint8))
-        with pytest.raises(OutOfMemoryError):
-            fl.read("w", 2, 4)
-
-    def test_read_counter(self):
-        fl = Flash(64)
-        fl.register("w", np.zeros(16, dtype=np.uint8))
-        fl.read("w", 0, 8)
-        assert fl.bytes_read == 8
-
-    def test_stores_int8_weights_via_view(self):
-        fl = Flash(64)
-        w = np.array([[-1, 2], [3, -4]], dtype=np.int8)
-        fl.register("w", w)
-        back = fl.read("w", 0, 4).view(np.int8)
-        np.testing.assert_array_equal(back, w.ravel())
-
-    def test_region_is_immutable(self):
-        fl = Flash(64)
-        fl.register("w", np.zeros(4, dtype=np.uint8))
-        region = fl.read("w", 0, 4)
-        with pytest.raises(ValueError):
-            region[0] = 1

@@ -211,7 +211,7 @@ class TestChaosHammer:
         self, compiled_cls
     ):
         # a finite turbo brown-out: the breaker opens (degrade to
-        # "batched"), probes turbo after each cooldown, and closes once
+        # "fast"), probes turbo after each cooldown, and closes once
         # the fault budget is spent — with zero failed requests and
         # bit-exact outputs throughout
         import time

@@ -1,8 +1,10 @@
 """`cached_pack` behavior under the serving workload.
 
 The session promotes every stage weight once (int32 GEMM operands via
-``pack_i32``); these tests pin the two safety properties that make the
-amortization sound across many requests:
+``pack_i32``, plus turbo's float64 ones); these tests pin the two safety
+properties that make the amortization sound across many requests.  The
+pipeline-level cases run ``execution="fast"``, whose GEMMs read the int32
+packs:
 
 * **staleness** — mutating a weight array in place between requests must
   re-pack (content digest mismatch) so served outputs track the new bytes;
@@ -19,8 +21,7 @@ import pytest
 
 import repro
 from repro.graph.models import build_classifier_graph
-from repro.kernels.base import _PACK_CACHE, cached_pack
-from repro.kernels.batched import pack_i32
+from repro.kernels.base import _PACK_CACHE, cached_pack, pack_i32
 from repro.quant import quantize_multiplier
 from repro.runtime.pipeline import Pipeline, PointwiseStage
 
@@ -46,11 +47,11 @@ class TestServingStaleness:
         )
         plan = pipe.plan()
         x = random_int8(rng, (5, 5, 8))
-        before = pipe.run_batch([x], plan=plan)[0].output
+        before = pipe.run_batch([x], plan=plan, execution="fast")[0].output
         stale_pack = cached_pack(w, 0, pack_i32)
 
         w[0, 0] = np.int8(~int(w[0, 0]) & 0x7F)  # in-place mutation
-        after = pipe.run_batch([x], plan=plan)[0].output
+        after = pipe.run_batch([x], plan=plan, execution="fast")[0].output
 
         fresh_pack = cached_pack(w, 0, pack_i32)
         assert fresh_pack is not stale_pack
@@ -107,9 +108,9 @@ class TestServingEviction:
         )
         plan = pipe.plan()
         xs = [random_int8(rng, (5, 5, 8)) for _ in range(3)]
-        pipe.run_batch(xs, plan=plan)
+        pipe.run_batch(xs, plan=plan, execution="fast")
         packed = cached_pack(w, 0, pack_i32)
-        pipe.run_batch(xs, plan=plan)
+        pipe.run_batch(xs, plan=plan, execution="fast")
         assert cached_pack(w, 0, pack_i32) is packed
 
     def test_weakref_eviction_fires_when_session_dies(self):
@@ -123,7 +124,9 @@ class TestServingEviction:
             )
         )
         plan = pipe.plan()
-        pipe.run_batch([random_int8(rng, (5, 5, 8))], plan=plan)
+        pipe.run_batch(
+            [random_int8(rng, (5, 5, 8))], plan=plan, execution="fast"
+        )
         new_keys = set(_i32_entries()) - baseline
         assert new_keys, "serving should have populated the pack cache"
 

@@ -83,7 +83,7 @@ def make_breaker(primary="turbo", threshold=2, cooldown=1.0):
 class TestCircuitBreaker:
     def test_degrade_chain_is_bit_exact_by_construction(self):
         # every fallback is a registered backend; "fast" is terminal
-        assert DEGRADE_CHAIN == {"turbo": "batched", "batched": "fast"}
+        assert DEGRADE_CHAIN == {"turbo": "fast"}
 
     def test_starts_closed_on_primary(self):
         br, _ = make_breaker()
@@ -103,8 +103,8 @@ class TestCircuitBreaker:
         assert br.record(False) is None
         assert br.record(False) == "open"
         assert br.state == "open"
-        assert br.execution == "batched"
-        assert br.plan_execution() == ("batched", False)
+        assert br.execution == "fast"
+        assert br.plan_execution() == ("fast", False)
 
     def test_success_resets_the_streak_while_closed(self):
         br, _ = make_breaker(threshold=2)
@@ -116,11 +116,11 @@ class TestCircuitBreaker:
     def test_single_probe_elected_after_cooldown(self):
         br, clock = make_breaker(threshold=1, cooldown=5.0)
         assert br.record(False) == "open"
-        assert br.plan_execution() == ("batched", False)  # cooling down
+        assert br.plan_execution() == ("fast", False)  # cooling down
         clock[0] = 6.0
         assert br.plan_execution() == ("turbo", True)  # the probe
         # concurrent batches keep degrading while the probe is in flight
-        assert br.plan_execution() == ("batched", False)
+        assert br.plan_execution() == ("fast", False)
 
     def test_probe_success_closes(self):
         br, clock = make_breaker(threshold=1, cooldown=1.0)
@@ -138,7 +138,7 @@ class TestCircuitBreaker:
         assert br.plan_execution() == ("turbo", True)
         assert br.record(False, probe=True) is None
         assert br.state == "open"
-        assert br.plan_execution() == ("batched", False)  # re-armed
+        assert br.plan_execution() == ("fast", False)  # re-armed
         clock[0] = 3.5
         assert br.plan_execution() == ("turbo", True)  # next probe
 

@@ -19,7 +19,11 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.errors import CompileError, KernelError, ShapeError
 from repro.graph.models import build_classifier_graph
-from repro.kernels import execution_backends, get_execution_backend
+from repro.kernels import (
+    FastBackend,
+    execution_backends,
+    get_execution_backend,
+)
 from repro.quant import quantize_multiplier
 from repro.runtime.pipeline import (
     BottleneckStage,
@@ -121,22 +125,13 @@ class TestPipelineRunBatchParity:
                 res, pipe.run(x, plan=plan, execution="fast")
             )
 
-    def test_single_run_via_batched_backend(self):
-        rng = np.random.default_rng(5)
-        pipe = make_pipeline(rng, 6, 4, 8, 1, True)
-        plan = pipe.plan()
-        x = random_int8(rng, (6, 6, 4))
-        assert_request_matches_fast(
-            pipe.run(x, plan=plan, execution="batched"),
-            pipe.run(x, plan=plan, execution="fast"),
-        )
-
     def test_nonbatched_backend_falls_back_per_request(self):
         rng = np.random.default_rng(6)
         pipe = make_pipeline(rng, 5, 4, 4, 1, False)
         plan = pipe.plan()
         xs = [random_int8(rng, (5, 5, 4)) for _ in range(3)]
-        for x, res in zip(xs, pipe.run_batch(xs, plan=plan, execution="fast")):
+        served = pipe.run_batch(xs, plan=plan, execution="simulate")
+        for x, res in zip(xs, served):
             assert_request_matches_fast(
                 res, pipe.run(x, plan=plan, execution="fast")
             )
@@ -166,9 +161,13 @@ class TestSession:
     def session(self, compiled):
         return compiled.serve()
 
-    def test_backend_registered(self):
-        assert "batched" in execution_backends()
-        assert get_execution_backend("batched").name == "batched"
+    def test_backend_registered(self, compiled):
+        assert execution_backends() == ("fast", "simulate", "turbo")
+        assert get_execution_backend("turbo").name == "turbo"
+        with pytest.raises(KernelError) as e:
+            Session(compiled, execution="batched")
+        for name in ("fast", "simulate", "turbo"):
+            assert repr(name) in str(e.value)
 
     @given(batch=st.integers(1, 6), seed=st.integers(0, 2**31))
     @settings(max_examples=8, deadline=None)
@@ -218,7 +217,45 @@ class TestSession:
         assert session.stats.peak_queue_depth == 3
         assert session.stats.requests_per_s > 0
 
-    def test_fast_backend_session_reports_per_request(self, compiled):
+    def test_degraded_batch_replays_the_shared_template(
+        self, compiled, monkeypatch
+    ):
+        """A turbo session degraded per batch to "fast" (the circuit
+        breaker's fallback) stays bit-exact with per-call fast, reports
+        included, and re-derives nothing: the template the turbo session
+        derived at open is the one both backends share."""
+        session = Session(compiled, execution="turbo")
+        rng = np.random.default_rng(43)
+        xs = [random_int8(rng, (20, 20, 16)) for _ in range(4)]
+        refs = [compiled.run(x, execution="fast") for x in xs]
+
+        calls = []
+        analytic = FastBackend.run_pipeline
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.name)
+            return analytic(self, *args, **kwargs)
+
+        monkeypatch.setattr(FastBackend, "run_pipeline", counting)
+        served = session.run_batch(xs, execution="fast")
+        (seg,) = compiled.segments
+        stacked = seg.pipeline.run_batch(xs, plan=seg.plan, execution="fast")
+        assert calls == []
+
+        for res, ref in zip(served, refs):
+            np.testing.assert_array_equal(res.output, ref.output)
+            assert res.stats.report.cycles == ref.report.cycles
+            assert res.stats.report.instructions == ref.report.instructions
+            assert res.stats.report.energy_mj == ref.report.energy_mj
+        # the backend's own per-request results: stage outputs, replayed
+        # reports and pool statistics against the analytic reference
+        fast = get_execution_backend("fast")
+        for x, res in zip(xs, stacked):
+            assert_request_matches_fast(
+                res, analytic(fast, seg.pipeline, seg.plan, x)
+            )
+
+    def test_fast_backend_session_matches_per_call_fast(self, compiled):
         session = Session(compiled, execution="fast")
         rng = np.random.default_rng(29)
         x = random_int8(rng, (20, 20, 16))
