@@ -11,10 +11,13 @@ Lowers an IR :class:`Program` to a self-contained C translation unit:
   parameters, so the emitted library supports dynamic shapes and the code
   size does not grow with input configurations (Section 6.2).
 
-There is no ARM toolchain in this environment, so the generated source is
-exercised two ways in the tests: structurally (the expected instruction
-idioms appear, addresses match the IR) and semantically (the interpreter
-executes the same IR the generator lowers).
+Without an ARM toolchain the ARM-only intrinsic paths are checked
+structurally (the expected instruction idioms appear, addresses match the
+IR).  Everything else is checked by execution: the tests compile the
+generated library with the host ``gcc`` (through
+:func:`repro.kernels.native.build`) and require the compiled ``vmcu_fc``
+and ``vmcu_pointwise`` to leave the segment pool bit for bit as the
+interpreter leaves it on the same IR, including when pool addresses wrap.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.planner import LayerPlan
 from repro.core.pool import CircularSegmentPool, PoolStats
 from repro.errors import KernelError
+from repro.kernels.native import _LOCK as _NATIVE_LOCK
 from repro.mcu.device import DeviceProfile
 from repro.mcu.profiler import CostReport, Profiler
 
@@ -347,13 +348,15 @@ def _serving_locks() -> tuple[threading.Lock, ...]:
     ``cached_pack`` or template lookup in the child would then deadlock.
     The process-mode dispatcher forks worker pools, so fork must happen
     at a quiescent point for these locks: the before-handler acquires
-    them (waiting out any in-flight serving work), and both
-    after-handlers release them again.  The template lock comes first
-    because a template derivation packs weights, so acquiring in this
-    order can never deadlock against a worker.  Both are plain
-    ``Lock``\\ s, so the child's release needs no owner check.
+    them (waiting out any in-flight serving work, including a one-time
+    native build), and both after-handlers release them again.  The
+    template lock comes first because a template derivation packs
+    weights and may trigger the native build, so acquiring in this order
+    can never deadlock against a worker; neither of the other two is
+    ever taken while holding the other.  All are plain ``Lock``\\ s, so
+    the child's release needs no owner check.
     """
-    return (_TEMPLATE_LOCK, _PACK_LOCK)
+    return (_TEMPLATE_LOCK, _NATIVE_LOCK, _PACK_LOCK)
 
 
 def _before_fork() -> None:

@@ -223,6 +223,15 @@ def _i32(w: np.ndarray) -> np.ndarray:
     return cached_pack(w, 0, pack_i32)
 
 
+def _saturating_add(out: np.ndarray, residual) -> np.ndarray:
+    """``out + residual`` clamped to int8; ``out`` itself if no residual."""
+    if residual is None:
+        return out
+    return np.clip(
+        out.astype(np.int16) + residual.astype(np.int16), -128, 127
+    ).astype(np.int8)
+
+
 # --------------------------------------------------------------------------- #
 # the backend
 # --------------------------------------------------------------------------- #
@@ -246,11 +255,13 @@ class FastBackend(ExecutionBackend):
     # row depends only on its own input row, so batch size never changes
     # the bits.
     #
-    # The two arithmetic leaves — the stacked GEMM and the requantize —
-    # are overridable hooks so a backend can swap the *implementation*
-    # (the "turbo" backend routes them through an exact float64 BLAS
-    # GEMM and a banded-exact requantize) without duplicating any of the
-    # stage structure; bit-exactness of an override is property-tested.
+    # The three arithmetic leaves — the stacked GEMM, the requantize and
+    # the depthwise taps — are overridable hooks so a backend can swap
+    # the *implementation* (the "turbo" backend routes them through an
+    # exact float64 BLAS GEMM and native fused requantize/depthwise
+    # leaves) without duplicating any of the stage structure; the NumPy
+    # bodies here are the reference arithmetic every override is
+    # property-tested against.
     def _gemm(
         self, x2d: np.ndarray, w: np.ndarray,
         w2d_shape: tuple[int, int] | None = None,
@@ -267,9 +278,41 @@ class FastBackend(ExecutionBackend):
             wp = wp.reshape(w2d_shape)
         return x2d.astype(np.int32) @ wp
 
-    def _requant(self, acc: np.ndarray, mult) -> np.ndarray:
-        """Scale int32 accumulators into int8 (gemmlowp pipeline)."""
-        return requantize(acc, mult)
+    def _requant(self, acc: np.ndarray, mult, residual=None) -> np.ndarray:
+        """Scale int32 accumulators into int8 (gemmlowp pipeline).
+
+        ``residual`` (int8, same element count as ``acc``) is then added
+        with int8 saturation — the bottleneck's skip connection.
+        """
+        return _saturating_add(requantize(acc, mult), residual)
+
+    def _depthwise_batch(self, xb, w, mult, stride, pad) -> np.ndarray:
+        """Depthwise ``int8[B, H, W, C] * int8[k, k, C]`` taps, requantized.
+
+        Zero padding ``pad`` on every border; the output is
+        ``int8[B, P, Q, C]`` with ``P = (H + 2*pad - k) // stride + 1``.
+        """
+        bsz, h, wd, c = xb.shape
+        k = w.shape[0]
+        p = (h + 2 * pad - k) // stride + 1
+        q = (wd + 2 * pad - k) // stride + 1
+        # pre-promote the padded activation once: the k*k tap loop below
+        # then slices int32 directly instead of casting every window view
+        xp = np.zeros((bsz, h + 2 * pad, wd + 2 * pad, c), dtype=np.int32)
+        xp[:, pad : pad + h, pad : pad + wd] = xb
+        w32 = _i32(w)
+        acc = np.zeros((bsz, p, q, c), dtype=np.int32)
+        for dr in range(k):
+            for ds in range(k):
+                acc += (
+                    xp[
+                        :,
+                        dr : dr + (p - 1) * stride + 1 : stride,
+                        ds : ds + (q - 1) * stride + 1 : stride,
+                    ]
+                    * w32[dr, ds]
+                )
+        return self._requant(acc, mult)
 
     def _pointwise_batch(self, kern, xb, w, mult):
         bsz = xb.shape[0]
@@ -293,10 +336,8 @@ class FastBackend(ExecutionBackend):
             )
         m1, mdw, m2 = mults
         s1, s2, s3 = spec.strides
-        pad, k = spec.padding, spec.kernel
         hb = spec.mid_spatial()
         p_out = spec.spatial_out()
-        hc = (hb + 2 * pad - k) // s2 + 1
 
         b = self._requant(
             self._gemm(
@@ -305,34 +346,17 @@ class FastBackend(ExecutionBackend):
             ),
             m1,
         ).reshape(bsz, hb, hb, spec.c_mid)
-        # pre-promote the padded activation once: the k*k tap loop below
-        # then slices int32 directly instead of casting every window view
-        bp = np.zeros(
-            (bsz, hb + 2 * pad, hb + 2 * pad, spec.c_mid), dtype=np.int32
-        )
-        bp[:, pad : pad + hb, pad : pad + hb] = b
-        wdw32 = _i32(w_dw)
-        acc_c = np.zeros((bsz, hc, hc, spec.c_mid), dtype=np.int32)
-        for dr in range(k):
-            for ds in range(k):
-                acc_c += (
-                    bp[
-                        :,
-                        dr : dr + (hc - 1) * s2 + 1 : s2,
-                        ds : ds + (hc - 1) * s2 + 1 : s2,
-                    ]
-                    * wdw32[dr, ds]
-                )
-        c_t = self._requant(acc_c, mdw)[:, ::s3, ::s3, :]
+        # the 1x1 project keeps every s3-th depthwise pixel, so the taps
+        # run at the composite stride: floor(floor(n/s2)/s3) = floor(n/(s2*s3))
+        # gives exactly p_out pixels, and none is computed to be dropped
+        c_t = self._depthwise_batch(b, w_dw, mdw, s2 * s3, spec.padding)
         acc_d = self._gemm(
             c_t.reshape(bsz * p_out * p_out, spec.c_mid), w_project
         )
-        d = self._requant(acc_d, m2).reshape(bsz, p_out, p_out, spec.c_out)
-        if spec.has_residual:
-            return np.clip(
-                d.astype(np.int16) + xb.astype(np.int16), -128, 127
-            ).astype(np.int8)
-        return d
+        residual = xb.reshape(acc_d.shape) if spec.has_residual else None
+        return self._requant(acc_d, m2, residual).reshape(
+            bsz, p_out, p_out, spec.c_out
+        )
 
     def _avgpool_batch(self, kern, xb, mult):
         if xb.shape[1:] != (kern.h, kern.w, kern.c):
@@ -566,20 +590,7 @@ class FastBackend(ExecutionBackend):
         seg = plan.seg_bytes
         p, q = kernel.p, kernel.q
 
-        xp = np.zeros((h + 2 * pad, wd + 2 * pad, c), dtype=np.int8)
-        xp[pad : pad + h, pad : pad + wd] = x
-        w32 = w.astype(np.int32)
-        acc = np.zeros((p, q, c), dtype=np.int32)
-        for dr in range(r):
-            for ds in range(r):
-                acc += (
-                    xp[
-                        dr : dr + (p - 1) * st + 1 : st,
-                        ds : ds + (q - 1) * st + 1 : st,
-                    ].astype(np.int32)
-                    * w32[dr, ds]
-                )
-        out = requantize(acc, mult)
+        out = self._depthwise_batch(x[None], w, mult, st, pad)[0]
 
         led.place_input(plan.in_base, h * wd, seg)
         row0 = np.arange(p, dtype=np.int64) * st - pad

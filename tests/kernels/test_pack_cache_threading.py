@@ -3,9 +3,10 @@
 Complements ``tests/serving/test_pack_cache_serving.py`` (staleness and
 eviction, single-threaded) with 8-thread hammers: one array is packed
 exactly once no matter how many workers race, per-thread mutation of
-private arrays never cross-contaminates, and one plan's cost template is
+private arrays never cross-contaminates, one plan's cost template is
 derived exactly once even when ``"fast"`` and ``"turbo"`` workers race
-for it.
+for it, and turbo batches on different inputs stay bit-exact while the
+native leaves run them concurrently outside the GIL.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from repro.kernels import FastBackend, get_execution_backend
 from repro.kernels.base import cached_pack, pack_f64, pack_i32
 from repro.quant import quantize_multiplier
-from repro.runtime.pipeline import Pipeline, PointwiseStage
+from repro.runtime.pipeline import BottleneckStage, Pipeline, PointwiseStage
 
 N_THREADS = 8
 JOIN_TIMEOUT_S = 60.0
@@ -140,3 +141,49 @@ def test_template_derived_once_across_backends(monkeypatch):
     # either backend, received that one template
     assert len(derivations) == 1
     assert len(seen_ids) == 1
+
+
+def test_turbo_batches_bit_exact_across_threads():
+    """The C leaves keep no static scratch: concurrent calls, which the
+    GIL no longer serializes, never see each other's data."""
+    rng = np.random.default_rng(4)
+
+    def w(*shape):
+        return rng.integers(-128, 128, size=shape, dtype=np.int8)
+
+    mults = tuple(quantize_multiplier(v) for v in (0.02, 0.01, 0.03))
+    pipe = Pipeline(16, 8)
+    pipe.add(PointwiseStage("pw", w(8, 8), mults[0]))
+    pipe.add(
+        BottleneckStage(
+            "b1", c_mid=48, c_out=8, kernel=5, w_expand=w(8, 48),
+            w_dw=w(5, 5, 48), w_project=w(48, 8), mults=mults,
+        )
+    )
+    pipe.add(
+        BottleneckStage(
+            "b2", c_mid=32, c_out=16, kernel=7, w_expand=w(8, 32),
+            w_dw=w(7, 7, 32), w_project=w(32, 16), mults=mults,
+            strides=(1, 2, 2),
+        )
+    )
+    plan = pipe.plan()
+    inputs = [[w(16, 16, 8) for _ in range(3)] for _ in range(N_THREADS)]
+    expected = [
+        [pipe.run(x, plan=plan, execution="fast").output for x in xs]
+        for xs in inputs
+    ]
+    turbo = get_execution_backend("turbo")
+
+    def work(i):
+        for _ in range(20):
+            results = turbo.run_pipeline_batch(pipe, plan, inputs[i])
+            for res, exp in zip(results, expected[i]):
+                np.testing.assert_array_equal(res.output, exp)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _hammer(N_THREADS, work)
+    finally:
+        sys.setswitchinterval(interval)

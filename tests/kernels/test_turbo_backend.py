@@ -1,13 +1,18 @@
 """Turbo backend parity: BLAS-rate arithmetic must not change a single bit.
 
-Two layers of evidence:
+Three layers of evidence:
 
 * ``requantize_fast`` is property-tested against the exact gemmlowp
   pipeline, including accumulators crafted to sit exactly on (and within
   one ULP of) the rounding-boundary band it special-cases;
+* the native leaves (:mod:`repro.kernels.native`) are property-tested
+  against the NumPy reference arithmetic of ``"fast"``: requantize on
+  int32 and float64-held accumulators at the int32 extremes, on exact
+  rounding ties and with a saturating residual, and the depthwise kernel
+  over kernel sizes, strides, batch sizes and padding-clipped borders;
 * whole pipelines and single kernels run ``execution="turbo"`` against
-  ``"fast"`` (itself parity-locked to ``"simulate"`` since PR 2) and
-  must agree on outputs, per-stage cost reports and pool statistics.
+  ``"fast"`` (itself parity-locked to ``"simulate"``) and must agree on
+  outputs, per-stage cost reports and pool statistics.
 """
 
 from __future__ import annotations
@@ -16,17 +21,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.multilayer import BottleneckSpec
+from repro.errors import ShapeError
 from repro.kernels import (
     Conv2dKernel,
     DepthwiseConvKernel,
     FullyConnectedKernel,
+    FusedBottleneckKernel,
     PointwiseConvKernel,
     execution_backends,
     get_execution_backend,
+    native,
 )
 from repro.kernels.pooling import GlobalAvgPoolKernel
 from repro.kernels.turbo import I32_SAFE_K, TurboBackend, gemm_is_exact
-from repro.quant import quantize_multiplier, requantize, requantize_fast
+from repro.quant import (
+    FixedPointMultiplier,
+    quantize_multiplier,
+    requantize,
+    requantize_fast,
+)
 from repro.runtime.pipeline import (
     DenseStage,
     GlobalAvgPoolStage,
@@ -93,6 +107,145 @@ class TestRequantizeFast:
             requantize(acc, mult),
             requantize_fast(acc.astype(np.float64), mult),
         )
+
+
+# --------------------------------------------------------------------------- #
+# native leaves vs the NumPy reference arithmetic
+# --------------------------------------------------------------------------- #
+INT32_EXTREMES = np.array(
+    [2**31 - 1, 2**31 - 2, -(2**31) + 1, -(2**31), 0, 1, -1], dtype=np.int64
+)
+#: requantize shifts of the Table 2 models' multipliers, plus the
+#: degenerate shift 0
+MODEL_SHIFTS = (0, 3, 5, 6)
+
+
+@pytest.fixture(scope="module")
+def leaves():
+    found = native.leaves()
+    if found is None:
+        pytest.skip(native.status())
+    return found
+
+
+def tie_accumulators(shift: int) -> np.ndarray:
+    """int32 accumulators whose requantize lands exactly on rounding ties.
+
+    With the Q31 mantissa ``2**30`` (one half), SQRDMULH maps ``a`` to
+    ``a / 2``: a tie for every odd ``a``.  For even ``a = 2x`` the
+    rounding shift then ties wherever ``x = j * 2**shift + 2**(shift-1)``.
+    Each tie comes with its neighbours one and two away, near zero and
+    near both ends of the int32 range.
+    """
+    top = (1 << 30) >> shift
+    j = np.concatenate(
+        [np.arange(-50, 50), top - np.arange(1, 20), np.arange(20) - top]
+    ).astype(np.int64)
+    if shift == 0:
+        centers = 2 * j + 1
+    else:
+        centers = 2 * (j * 2**shift + 2 ** (shift - 1))
+    acc = np.concatenate(
+        [(centers[:, None] + np.arange(-2, 3)).ravel(), INT32_EXTREMES]
+    )
+    return np.clip(acc, -(2**31), 2**31 - 1).astype(np.int32)
+
+
+class TestNativeRequantize:
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    @pytest.mark.parametrize("shift", MODEL_SHIFTS)
+    def test_rounding_ties(self, leaves, shift, dtype):
+        mult = FixedPointMultiplier(multiplier=1 << 30, shift=shift)
+        acc = tie_accumulators(shift)
+        np.testing.assert_array_equal(
+            leaves.requantize(acc.astype(dtype), mult), requantize(acc, mult)
+        )
+
+    @given(
+        real=st.floats(1e-4, 0.999),
+        seed=st.integers(0, 2**31),
+        as_f64=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exact_pipeline(self, leaves, real, seed, as_f64):
+        mult = quantize_multiplier(real)
+        rng = np.random.default_rng(seed)
+        acc = np.concatenate(
+            [
+                rng.integers(-(2**31), 2**31, size=2048),
+                rng.integers(-(2**20), 2**20, size=2048),
+                INT32_EXTREMES,
+            ]
+        ).astype(np.int32)
+        got = leaves.requantize(
+            acc.astype(np.float64) if as_f64 else acc, mult
+        )
+        np.testing.assert_array_equal(got, requantize(acc, mult))
+
+    @pytest.mark.parametrize("as_f64", [False, True])
+    def test_residual_add_saturates(self, leaves, as_f64):
+        mult = quantize_multiplier(0.02)
+        rng = np.random.default_rng(11)
+        acc = rng.integers(-(2**14), 2**14, size=(64, 32)).astype(np.int32)
+        residual = rng.integers(-128, 128, size=acc.shape, dtype=np.int8)
+        reference = get_execution_backend("fast")._requant(
+            acc, mult, residual
+        )
+        got = leaves.requantize(
+            acc.astype(np.float64) if as_f64 else acc, mult, residual
+        )
+        np.testing.assert_array_equal(got, reference)
+        # both ends of the int8 range saturate somewhere in this draw
+        wide = requantize(acc, mult).astype(np.int16) + residual
+        assert (wide > 127).any() and (wide < -128).any()
+
+    def test_rejects_mismatched_residual(self, leaves):
+        acc = np.zeros((4, 4), dtype=np.int32)
+        with pytest.raises(ShapeError):
+            leaves.requantize(acc, MULT, np.zeros(15, dtype=np.int8))
+        with pytest.raises(ShapeError):
+            leaves.requantize(acc, MULT, np.zeros(16, dtype=np.int16))
+
+
+class TestNativeDepthwise:
+    @given(
+        k=st.sampled_from([3, 5, 7]),
+        s2=st.sampled_from([1, 2]),
+        s3=st.sampled_from([1, 2]),
+        batch=st.sampled_from([1, 3]),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        # 260 channels spans two of the kernel's 256-channel blocks
+        c=st.sampled_from([1, 8, 24, 260]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy_tap_loop(
+        self, leaves, k, s2, s3, batch, h, w, c, seed
+    ):
+        """Spatial sizes up to 9 against kernels up to 7 with same-style
+        padding: taps clip at every border, often on both sides of one
+        window at once."""
+        rng = np.random.default_rng(seed)
+        xb = random_int8(rng, (batch, h, w, c))
+        wd = random_int8(rng, (k, k, c))
+        mult = quantize_multiplier(float(rng.uniform(1e-3, 0.05)))
+        pad, stride = (k - 1) // 2, s2 * s3
+        np.testing.assert_array_equal(
+            leaves.depthwise(xb, wd, mult, stride, pad),
+            get_execution_backend("fast")._depthwise_batch(
+                xb, wd, mult, stride, pad
+            ),
+        )
+
+    def test_rejects_bad_geometry(self, leaves):
+        xb = np.zeros((1, 4, 4, 8), dtype=np.int8)
+        with pytest.raises(ShapeError):
+            leaves.depthwise(xb, np.zeros((3, 3, 4), np.int8), MULT, 1, 1)
+        with pytest.raises(ShapeError):
+            leaves.depthwise(xb, np.zeros((3, 3, 8), np.int8), MULT, 0, 1)
+        with pytest.raises(ShapeError):
+            leaves.depthwise(xb[0], np.zeros((3, 3, 8), np.int8), MULT, 1, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -178,6 +331,38 @@ class TestTurboParity:
         assert_runs_match(
             kernel.run(*args, execution="turbo"),
             kernel.run(*args, execution="fast"),
+        )
+
+    @given(
+        hw=st.integers(4, 10),
+        kernel=st.sampled_from([3, 5, 7]),
+        strides=st.sampled_from(
+            [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 2, 2)]
+        ),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_bottleneck(self, hw, kernel, strides, seed):
+        """Expand GEMM, depthwise at stride s2*s3 and the project GEMM
+        with its residual add fused into the requantize."""
+        rng = np.random.default_rng(seed)
+        spec = BottleneckSpec(
+            name="t", hw=hw, c_in=8, c_mid=24, c_out=8, kernel=kernel,
+            strides=strides,
+        )
+        if not spec.fusable():
+            return
+        kern = FusedBottleneckKernel(spec)
+        args = (
+            random_int8(rng, (hw, hw, 8)),
+            random_int8(rng, (8, 24)),
+            random_int8(rng, (kernel, kernel, 24)),
+            random_int8(rng, (24, 8)),
+            (MULT, quantize_multiplier(0.01), quantize_multiplier(0.03)),
+        )
+        assert_runs_match(
+            kern.run(*args, execution="turbo"),
+            kern.run(*args, execution="fast"),
         )
 
     def test_avgpool(self):
