@@ -223,6 +223,14 @@ def _i32(w: np.ndarray) -> np.ndarray:
     return cached_pack(w, 0, pack_i32)
 
 
+def _check_bottleneck_batch(spec, xb: np.ndarray) -> None:
+    if xb.shape[1:] != (spec.hw, spec.hw, spec.c_in):
+        raise ShapeError(
+            f"batch must be int8[B,{spec.hw},{spec.hw},{spec.c_in}], "
+            f"got {xb.shape}"
+        )
+
+
 def _saturating_add(out: np.ndarray, residual) -> np.ndarray:
     """``out + residual`` clamped to int8; ``out`` itself if no residual."""
     if residual is None:
@@ -259,9 +267,10 @@ class FastBackend(ExecutionBackend):
     # the depthwise taps — are overridable hooks so a backend can swap
     # the *implementation* (the "turbo" backend routes them through an
     # exact float64 BLAS GEMM and native fused requantize/depthwise
-    # leaves) without duplicating any of the stage structure; the NumPy
-    # bodies here are the reference arithmetic every override is
-    # property-tested against.
+    # leaves, and replaces _bottleneck_batch whole with one native fused
+    # pass where the host builds it) without duplicating any of the
+    # stage structure; the NumPy bodies here are the reference
+    # arithmetic every override is property-tested against.
     def _gemm(
         self, x2d: np.ndarray, w: np.ndarray,
         w2d_shape: tuple[int, int] | None = None,
@@ -329,11 +338,7 @@ class FastBackend(ExecutionBackend):
     def _bottleneck_batch(self, kern, xb, w_expand, w_dw, w_project, mults):
         spec = kern.spec
         bsz = xb.shape[0]
-        if xb.shape[1:] != (spec.hw, spec.hw, spec.c_in):
-            raise ShapeError(
-                f"batch must be int8[B,{spec.hw},{spec.hw},{spec.c_in}], "
-                f"got {xb.shape}"
-            )
+        _check_bottleneck_batch(spec, xb)
         m1, mdw, m2 = mults
         s1, s2, s3 = spec.strides
         hb = spec.mid_spatial()

@@ -1,17 +1,29 @@
 """Native leaves for the turbo backend, built once per host with gcc.
 
-Profiling the serving path put most of its kernel time in two NumPy
-leaves: the requantize epilogue (many whole-tensor int64 passes) and the
-depthwise tap loop (a padded int32 copy plus ``k*k`` strided passes).  The
-paper's kernels run both as one fused pass per output element;
+Profiling the serving path put most of its kernel time in the inverted
+bottlenecks: whole-tensor NumPy/BLAS passes that materialize the
+expanded tensor (at float64) between the expand, depthwise and project
+stages.  The paper's fused kernel streams the block row by row instead;
 ``_native.c`` does the same on the host:
 
+* ``vmcu_bottleneck`` — a whole bottleneck block in one pass per output
+  row: pointwise expand, ``k x k`` depthwise at the composite stride
+  ``s2*s3`` with taps clipped at the zero-padded borders, pointwise
+  project, every requantize and the saturating residual add.  Only a
+  ``k``-row int32 ring of the expanded tensor and one row of
+  accumulators are ever held;
 * ``vmcu_requant_i32`` / ``vmcu_requant_f64`` — the exact gemmlowp
   requantize in one pass over int32 or float64-held accumulators, with the
   bottleneck's saturating residual add optionally fused in;
-* ``vmcu_depthwise`` — a ``k x k`` depthwise convolution that clips taps
-  at the zero-padded borders, takes the stride directly, accumulates in
-  int32 and requantizes in the same pass.
+* ``vmcu_depthwise`` — the standalone depthwise convolution, on the same
+  tap loop and requantize as the bottleneck.
+
+The depthwise and bottleneck take weights packed by
+:func:`pack_i32_pad16` (int32, channel axis zero-padded to 16k) and run one int32 vector per channel block, sized to
+the build target: 16 lanes under AVX-512, 8 under AVX2, 4 otherwise.
+``vmcu_bottleneck`` is compiled only with 8 or more lanes (AVX2 and
+up), so the build target, not an option, decides whether turbo fuses
+bottlenecks (:attr:`_Leaves.fused_bottleneck`).
 
 :func:`build` compiles a C source with ``gcc -O3 -march=native -shared
 -fPIC`` into a per-user cache (:func:`cache_dir`) under a name hashed from
@@ -21,7 +33,7 @@ host compiles once and later processes only load.  :func:`leaves` builds
 and loads the leaves on first use, once per process; it returns ``None``
 when there is no compiler or the compile fails, and the turbo backend then
 keeps its NumPy leaves.  :func:`status` says which path this process
-takes::
+takes, and whether bottlenecks run fused::
 
     python -c "from repro.kernels.native import status; print(status())"
 """
@@ -41,7 +53,14 @@ import numpy as np
 
 from repro.errors import KernelError, QuantizationError, ShapeError
 
-__all__ = ["NativeBuildError", "build", "cache_dir", "leaves", "status"]
+__all__ = [
+    "NativeBuildError",
+    "build",
+    "cache_dir",
+    "leaves",
+    "pack_i32_pad16",
+    "status",
+]
 
 COMPILER = "gcc"
 CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
@@ -140,6 +159,40 @@ def build(source: str, *, directory: Path | None = None) -> Path:
     return path
 
 
+#: channel multiple of the leaves' weight operands (``CPAD`` in the C
+#: source): their vector loops run whole blocks of this many channels
+CHANNEL_PAD = 16
+
+
+def _padded(c: int) -> int:
+    return -(-c // CHANNEL_PAD) * CHANNEL_PAD
+
+
+def pack_i32_pad16(w: np.ndarray, seg: int) -> np.ndarray:
+    """Promote int8 weights to int32, last axis zero-padded to 16k.
+
+    The operand layout of the native depthwise and fused-bottleneck
+    leaves; the zero lanes contribute nothing.  A packer for
+    :func:`~repro.kernels.base.cached_pack`, with the same contract as
+    :func:`~repro.kernels.base.pack_i32` (``seg`` is unused).
+    """
+    c = w.shape[-1]
+    out = np.zeros((*w.shape[:-1], _padded(c)), dtype=np.int32)
+    out[..., :c] = w
+    return out
+
+
+def _packed(w: np.ndarray, lead: tuple[int, ...], c: int) -> np.ndarray:
+    """``w`` checked as the :func:`pack_i32_pad16` pack of ``c`` channels."""
+    shape = (*lead, _padded(c))
+    if w.dtype != np.int32 or w.shape != shape:
+        raise ShapeError(
+            f"packed weight must be int32{list(shape)}, got "
+            f"{w.dtype}{list(w.shape)}"
+        )
+    return np.ascontiguousarray(w)
+
+
 class _Leaves:
     """Typed ctypes bindings of the compiled ``_native.c``."""
 
@@ -151,8 +204,23 @@ class _Leaves:
             fn.argtypes = (ptr, ptr, ptr, i64, i32, i32)
             fn.restype = None
         self._depthwise = lib.vmcu_depthwise
-        self._depthwise.argtypes = (ptr, ptr, ptr) + (i32,) * 11
+        self._depthwise.argtypes = (ptr,) * 5 + (i32,) * 11
         self._depthwise.restype = None
+        lib.vmcu_lanes.argtypes = ()
+        lib.vmcu_lanes.restype = i32
+        #: int32 lanes per vector in this build: 16 under AVX-512, 8 under
+        #: AVX2, 4 otherwise
+        self.lanes = int(lib.vmcu_lanes())
+        # compiled only for targets with 256-bit or wider integer vectors
+        self._bottleneck = getattr(lib, "vmcu_bottleneck", None)
+        if self._bottleneck is not None:
+            self._bottleneck.argtypes = (ptr,) * 9 + (i32,) * 18
+            self._bottleneck.restype = None
+
+    @property
+    def fused_bottleneck(self) -> bool:
+        """Whether this build has the fused bottleneck leaf."""
+        return self._bottleneck is not None
 
     @staticmethod
     def _mult_args(mult) -> tuple[int, int]:
@@ -188,16 +256,17 @@ class _Leaves:
         return out
 
     def depthwise(self, xb, w, mult, stride: int, pad: int) -> np.ndarray:
-        """Depthwise ``int8[B, H, W, C] * int8[k, k, C]``, requantized.
+        """Depthwise ``int8[B, H, W, C]`` taps, requantized.
 
-        Same contract as ``FastBackend._depthwise_batch``.
+        Same contract as ``FastBackend._depthwise_batch``, except that
+        ``w`` is the ``pack_i32_pad16`` pack of the ``int8[k, k, C]``
+        weights.
         """
-        if xb.ndim != 4 or xb.dtype != np.int8 or w.dtype != np.int8:
+        if xb.ndim != 4 or xb.dtype != np.int8:
             raise ShapeError("depthwise needs int8 [B, H, W, C] activations")
         bsz, h, wd, c = xb.shape
         k = w.shape[0]
-        if w.shape != (k, k, c):
-            raise ShapeError(f"depthwise weight must be [k, k, {c}]")
+        w = _packed(w, (k, k), c)
         if stride <= 0 or pad < 0:
             raise ShapeError(f"bad depthwise stride {stride} / pad {pad}")
         p = (h + 2 * pad - k) // stride + 1
@@ -207,11 +276,67 @@ class _Leaves:
                 f"depthwise k={k} pad={pad} collapses {h}x{wd} to {p}x{q}"
             )
         xb = np.ascontiguousarray(xb)
-        w = np.ascontiguousarray(w)
         out = np.empty((bsz, p, q, c), dtype=np.int8)
+        # the int32 ring of k input rows and one row of accumulators
+        ring = np.zeros((k, wd, w.shape[-1]), dtype=np.int32)
+        row = np.empty((q, w.shape[-1]), dtype=np.int32)
         self._depthwise(
-            xb.ctypes.data, w.ctypes.data, out.ctypes.data,
-            bsz, h, wd, c, k, stride, pad, p, q, *self._mult_args(mult),
+            xb.ctypes.data, w.ctypes.data, out.ctypes.data, ring.ctypes.data,
+            row.ctypes.data, bsz, h, wd, c, k, stride, pad, p, q,
+            *self._mult_args(mult),
+        )
+        return out
+
+    def bottleneck(
+        self, xb, spec, w_expand, w_dw, w_project, mults
+    ) -> np.ndarray:
+        """The inverted-bottleneck block ``spec`` over ``int8[B, H, H, c_in]``.
+
+        Expand, depthwise at stride ``s2*s3``, project, every requantize
+        and the residual add in one pass per output row, holding only a
+        ``k``-row ring of the expanded tensor.  Same contract as
+        ``FastBackend._bottleneck_batch``, except that the weights are
+        ``pack_i32_pad16`` packs; only builds with
+        :attr:`fused_bottleneck` have it.
+        """
+        if self._bottleneck is None:
+            raise KernelError("this build has no fused bottleneck leaf")
+        hw, k = spec.hw, spec.kernel
+        if xb.ndim != 4 or xb.dtype != np.int8 or xb.shape[1:] != (
+            hw, hw, spec.c_in
+        ):
+            raise ShapeError(
+                f"bottleneck needs int8[B,{hw},{hw},{spec.c_in}], got "
+                f"{xb.dtype}{list(xb.shape)}"
+            )
+        we = _packed(w_expand, (spec.c_in,), spec.c_mid)
+        wdw = _packed(w_dw, (k, k), spec.c_mid)
+        wp = _packed(w_project, (spec.c_mid,), spec.c_out)
+        s1, s2, s3 = spec.strides
+        hb, p = spec.mid_spatial(), spec.spatial_out()
+        if spec.has_residual and (p, spec.c_out) != (hw, spec.c_in):
+            raise ShapeError(
+                f"residual add needs [{hw},{hw},{spec.c_in}] output, got "
+                f"[{p},{p},{spec.c_out}]"
+            )
+        bsz = xb.shape[0]
+        xb = np.ascontiguousarray(xb)
+        out = np.empty((bsz, p, p, spec.c_out), dtype=np.int8)
+        cm, co = wdw.shape[-1], wp.shape[-1]
+        # scratch: one widened input row, the k-row ring of the expanded
+        # tensor, and one output row each of depthwise and project sums
+        xrow = np.empty((hb, spec.c_in), dtype=np.int32)
+        ring = np.empty((k, hb, cm), dtype=np.int32)
+        dwrow = np.empty((p, cm), dtype=np.int32)
+        prow = np.empty((p, co), dtype=np.int32)
+        m1, mdw, m2 = mults
+        self._bottleneck(
+            xb.ctypes.data, out.ctypes.data, we.ctypes.data, wdw.ctypes.data,
+            wp.ctypes.data, xrow.ctypes.data, ring.ctypes.data,
+            dwrow.ctypes.data, prow.ctypes.data, bsz, hw, spec.c_in,
+            spec.c_mid, spec.c_out, k, s1, s2 * s3, spec.padding, hb, p,
+            int(spec.has_residual), *self._mult_args(m1),
+            *self._mult_args(mdw), *self._mult_args(m2),
         )
         return out
 
@@ -253,6 +378,15 @@ def leaves() -> _Leaves | None:
 
 
 def status() -> str:
-    """One line on which requantize/depthwise leaves the turbo backend runs."""
-    leaves()
-    return f"native leaves: {_loaded[1]}"
+    """One line on which leaves the turbo backend runs."""
+    found = leaves()
+    line = f"native leaves: {_loaded[1]}"
+    if found is None:
+        return line
+    if found.fused_bottleneck:
+        return f"{line}; fused bottleneck on, {found.lanes} int32 lanes"
+    return (
+        f"{line}; fused bottleneck off ({found.lanes}-lane int32 vectors, "
+        "needs 8 or more): bottlenecks run the BLAS + requantize + "
+        "depthwise leaves"
+    )

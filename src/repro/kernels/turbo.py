@@ -5,8 +5,19 @@ cost derivation; what remains per request is the arithmetic itself, and
 NumPy executes integer matmuls with its generic C inner loop — BLAS never
 sees them — and the requantize epilogue and depthwise taps as many
 whole-tensor passes.  This backend swaps the three arithmetic leaves of
-:class:`~repro.kernels.fastpath.FastBackend` for implementations that
-run at BLAS or compiled-C rate while remaining *provably bit-exact*:
+:class:`~repro.kernels.fastpath.FastBackend`, and where the host builds
+it the whole bottleneck stage, for implementations that run at BLAS or
+compiled-C rate while remaining *provably bit-exact*:
+
+* **bottleneck stages** — on hosts whose ``gcc -march=native`` target
+  has 256-bit or wider integer vectors (AVX2, AVX-512), the native
+  ``vmcu_bottleneck`` leaf of :mod:`repro.kernels.native` runs each
+  inverted bottleneck in one pass per output row, as the paper's fused
+  kernel does: expand, depthwise at stride ``s2*s3``, project, every
+  requantize and the residual add, keeping only a ``k``-row int32 ring
+  of the expanded tensor.  Its int32 accumulation wraps modulo ``2**32``
+  exactly like the fast backend's, so it is bit-exact for any reduction
+  depth.  Other hosts run the three-leaf path below.
 
 * **GEMM** — int8 operands are exactly representable in float64, and a
   dot product over ``K`` terms is bounded by ``K * 128 * 128 = K * 2**14``
@@ -19,12 +30,15 @@ run at BLAS or compiled-C rate while remaining *provably bit-exact*:
   guard is there for arbitrary user graphs) fall back to the int32
   matmul, where wrapping semantics are native.
 
-  GEMM stays on BLAS: a row-at-a-time C int8 GEMM with the requantize
-  epilogue fused in, built like the leaves below, measured slower than
-  BLAS plus the native requantize over the same GEMM shapes (1.35 vs
-  0.93 ms per request on the VWW classifier at batch 1, 13.7 vs 7.1 on
-  ImageNet at batch 8; gcc 12 ``-O3 -march=native`` against NumPy 2.4's
-  BLAS on a 2-vCPU x86-64 Xeon with AVX-512).
+  The standalone pointwise and dense stages stay on BLAS: a
+  row-at-a-time C int8 GEMM with the requantize epilogue fused in, built
+  like the leaves below, measured slower than BLAS plus the native
+  requantize over the same GEMM shapes (1.35 vs 0.93 ms per request on
+  the VWW classifier at batch 1, 13.7 vs 7.1 on ImageNet at batch 8; gcc
+  12 ``-O3 -march=native`` against NumPy 2.4's BLAS on a 2-vCPU x86-64
+  Xeon with AVX-512).  Inside the fused bottleneck the C pointwise wins
+  instead: its accumulators stay in registers and no intermediate is
+  ever written at float64.
 
 * **requantize** and **depthwise taps** — the native leaves of
   :mod:`repro.kernels.native`, compiled once per host with ``gcc``:
@@ -64,7 +78,13 @@ from repro.kernels.base import (
     pack_i32,
     register_execution_backend,
 )
-from repro.kernels.fastpath import FastBackend, _fault_hook, _saturating_add
+from repro.kernels.fastpath import (
+    FastBackend,
+    _check_bottleneck_batch,
+    _fault_hook,
+    _saturating_add,
+)
+from repro.kernels.native import pack_i32_pad16
 from repro.quant import requantize_fast
 
 __all__ = ["TurboBackend", "I32_SAFE_K", "gemm_is_exact"]
@@ -81,13 +101,15 @@ def gemm_is_exact(k: int) -> bool:
 
 
 class TurboBackend(FastBackend):
-    """The fast backend with BLAS GEMMs and native requantize/depthwise."""
+    """The fast backend with native fused bottlenecks, BLAS GEMMs and
+    native requantize/depthwise."""
 
     name = "turbo"
-    #: sessions warm both layouts: float64 for the BLAS GEMMs, int32 for
+    #: sessions warm every layout: float64 for the BLAS GEMMs, int32 for
     #: the NumPy tap loop (when the native leaves are unavailable) and
-    #: the deep-reduction fallback
-    weight_packers = (pack_i32, pack_f64)
+    #: the deep-reduction fallback, and the padded int32 operands of the
+    #: native depthwise and fused bottleneck
+    weight_packers = (pack_i32, pack_f64, pack_i32_pad16)
 
     def _gemm(
         self, x2d: np.ndarray, w: np.ndarray,
@@ -113,7 +135,22 @@ class TurboBackend(FastBackend):
         leaves = native.leaves()
         if leaves is None:
             return super()._depthwise_batch(xb, w, mult, stride, pad)
-        return leaves.depthwise(xb, w, mult, stride, pad)
+        return leaves.depthwise(
+            xb, cached_pack(w, 0, pack_i32_pad16), mult, stride, pad
+        )
+
+    def _bottleneck_batch(self, kern, xb, w_expand, w_dw, w_project, mults):
+        leaves = native.leaves()
+        if leaves is None or not leaves.fused_bottleneck:
+            return super()._bottleneck_batch(
+                kern, xb, w_expand, w_dw, w_project, mults
+            )
+        _check_bottleneck_batch(kern.spec, xb)
+        we, wdw, wp = (
+            cached_pack(w, 0, pack_i32_pad16)
+            for w in (w_expand, w_dw, w_project)
+        )
+        return leaves.bottleneck(xb, kern.spec, we, wdw, wp, mults)
 
 
 register_execution_backend(TurboBackend())

@@ -64,7 +64,9 @@ SITES = (
     "session.run_batch",   # Session.run_batch entry (any caller)
     "backend.fast",        # FastBackend.run_pipeline_batch
     "backend.turbo",       # TurboBackend.run_pipeline_batch (inherited)
-    "backend.turbo.gemm",  # TurboBackend._gemm (the BLAS leaf)
+    "backend.turbo.gemm",  # TurboBackend._gemm: the BLAS leaf of
+                           # pointwise/dense stages, and of bottlenecks
+                           # only where the fused leaf is not built
     "worker.loop",         # dispatcher worker thread, before claiming work
     "process.child",       # forked pool child, before serving a request
 )

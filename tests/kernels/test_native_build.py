@@ -7,7 +7,11 @@
   cannot hand the child a lock that no thread will ever release;
 * with no compiler on ``PATH``, or a compile that fails, the turbo backend
   keeps serving bit-exact results through ``requantize_fast`` and the
-  NumPy tap loop.
+  NumPy tap loop;
+* the build target selects the fused bottleneck leaf: an AVX2 build has
+  it at 8 int32 lanes and serves bit-exact through it, a baseline x86-64
+  build leaves it out and serves bit-exact through the three-leaf path,
+  and ``status()`` says which.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import ctypes
 import multiprocessing
 import os
+import platform
+import shutil
 import signal
 import threading
 import time
@@ -26,6 +32,7 @@ import pytest
 from repro.kernels import base, get_execution_backend, native, turbo
 from repro.quant import quantize_multiplier
 from repro.runtime.pipeline import BottleneckStage, Pipeline, PointwiseStage
+from tests.kernels.test_turbo_backend import fused_calls
 
 SOURCE = "int repro_answer(void) { return 42; }\n"
 N_BUILDERS = 3
@@ -169,6 +176,50 @@ def test_turbo_falls_back_bit_exact(tmp_path, monkeypatch, breakage):
     assert native.leaves() is None
     assert "unavailable" in native.status()
     assert fallback_calls
+    for x, res in zip(xs, results):
+        np.testing.assert_array_equal(
+            res.output, pipe.run(x, plan=plan, execution="fast").output
+        )
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"),
+    reason="builds for x86-64 -march targets",
+)
+@pytest.mark.parametrize("march,lanes", [("haswell", 8), ("x86-64", 4)])
+def test_build_target_selects_the_fused_bottleneck(
+    tmp_path, monkeypatch, march, lanes
+):
+    if shutil.which(native.COMPILER) is None:
+        pytest.skip(f"no {native.COMPILER} on PATH")
+    if lanes == 8 and "avx2" not in native._cpu_flags().split():
+        pytest.skip("this CPU cannot run AVX2 code")
+    monkeypatch.setattr(
+        native, "CFLAGS", ("-O3", f"-march={march}", "-shared", "-fPIC")
+    )
+    path = native.build(native.SOURCE.read_text(), directory=tmp_path)
+    fused = lanes >= 8
+    assert hasattr(ctypes.CDLL(str(path)), "vmcu_bottleneck") == fused
+    found = native._Leaves(ctypes.CDLL(str(path)))
+    assert (found.lanes, found.fused_bottleneck) == (lanes, fused)
+    monkeypatch.setattr(native, "_loaded", (found, f"loaded from {path}"))
+    if fused:
+        assert f"fused bottleneck on, {lanes} int32 lanes" in native.status()
+    else:
+        assert "fused bottleneck off" in native.status()
+
+    rng = np.random.default_rng(1)
+    pipe = _bottleneck_pipeline(rng)
+    plan = pipe.plan()
+    xs = [
+        rng.integers(-128, 128, size=(12, 12, 8), dtype=np.int8)
+        for _ in range(3)
+    ]
+    with fused_calls() as calls:
+        results = get_execution_backend("turbo").run_pipeline_batch(
+            pipe, plan, xs
+        )
+    assert bool(calls) == fused
     for x, res in zip(xs, results):
         np.testing.assert_array_equal(
             res.output, pipe.run(x, plan=plan, execution="fast").output

@@ -8,14 +8,21 @@ Three layers of evidence:
 * the native leaves (:mod:`repro.kernels.native`) are property-tested
   against the NumPy reference arithmetic of ``"fast"``: requantize on
   int32 and float64-held accumulators at the int32 extremes, on exact
-  rounding ties and with a saturating residual, and the depthwise kernel
-  over kernel sizes, strides, batch sizes and padding-clipped borders;
+  rounding ties at every shift and both multiplier ends and with a
+  saturating residual, and the depthwise kernel over kernel sizes,
+  strides, batch sizes, channel counts and padding-clipped borders;
 * whole pipelines and single kernels run ``execution="turbo"`` against
   ``"fast"`` (itself parity-locked to ``"simulate"``) and must agree on
-  outputs, per-stage cost reports and pool statistics.
+  outputs, per-stage cost reports and pool statistics; bottleneck
+  stages must run the fused native leaf wherever the host builds it.
 """
 
 from __future__ import annotations
+
+import platform
+import shutil
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +40,7 @@ from repro.kernels import (
     get_execution_backend,
     native,
 )
+from repro.kernels.native import pack_i32_pad16
 from repro.kernels.pooling import GlobalAvgPoolKernel
 from repro.kernels.turbo import I32_SAFE_K, TurboBackend, gemm_is_exact
 from repro.quant import (
@@ -42,6 +50,7 @@ from repro.quant import (
     requantize_fast,
 )
 from repro.runtime.pipeline import (
+    BottleneckStage,
     DenseStage,
     GlobalAvgPoolStage,
     Pipeline,
@@ -115,9 +124,36 @@ class TestRequantizeFast:
 INT32_EXTREMES = np.array(
     [2**31 - 1, 2**31 - 2, -(2**31) + 1, -(2**31), 0, 1, -1], dtype=np.int64
 )
-#: requantize shifts of the Table 2 models' multipliers, plus the
-#: degenerate shift 0
-MODEL_SHIFTS = (0, 3, 5, 6)
+#: every shift of the 32-bit requantize form, plus one beyond it, where
+#: every output rounds to 0
+SHIFTS = (*range(32), 40)
+#: both ends of the Q31 mantissa range, and one half (which puts every
+#: odd accumulator on a SQRDMULH tie)
+MULTIPLIERS = (1, 1 << 30, 2**31 - 1)
+
+
+def fused_bottleneck_expected() -> bool:
+    """Whether this host must run bottlenecks through the fused leaf: a
+    compiler and an x86-64 CPU with 256-bit integer vectors (AVX2)."""
+    return (
+        shutil.which(native.COMPILER) is not None
+        and platform.machine() in ("x86_64", "AMD64")
+        and "avx2" in native._cpu_flags().split()
+    )
+
+
+@contextmanager
+def fused_calls():
+    """Count the calls of the native fused bottleneck leaf."""
+    calls = []
+    real = native._Leaves.bottleneck
+
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    with mock.patch.object(native._Leaves, "bottleneck", counting):
+        yield calls
 
 
 @pytest.fixture(scope="module")
@@ -153,13 +189,16 @@ def tie_accumulators(shift: int) -> np.ndarray:
 
 class TestNativeRequantize:
     @pytest.mark.parametrize("dtype", [np.int32, np.float64])
-    @pytest.mark.parametrize("shift", MODEL_SHIFTS)
+    @pytest.mark.parametrize("shift", SHIFTS)
     def test_rounding_ties(self, leaves, shift, dtype):
-        mult = FixedPointMultiplier(multiplier=1 << 30, shift=shift)
-        acc = tie_accumulators(shift)
-        np.testing.assert_array_equal(
-            leaves.requantize(acc.astype(dtype), mult), requantize(acc, mult)
-        )
+        acc = tie_accumulators(min(shift, 31))
+        for m in MULTIPLIERS:
+            mult = FixedPointMultiplier(multiplier=m, shift=shift)
+            np.testing.assert_array_equal(
+                leaves.requantize(acc.astype(dtype), mult),
+                requantize(acc, mult),
+                err_msg=f"multiplier {m}",
+            )
 
     @given(
         real=st.floats(1e-4, 0.999),
@@ -214,9 +253,10 @@ class TestNativeDepthwise:
         s3=st.sampled_from([1, 2]),
         batch=st.sampled_from([1, 3]),
         h=st.integers(1, 9),
-        w=st.integers(1, 9),
-        # 260 channels spans two of the kernel's 256-channel blocks
-        c=st.sampled_from([1, 8, 24, 260]),
+        w=st.integers(1, 20),
+        # channel counts off, on and across the 16-lane blocks; 260
+        # spans four-vector blocks plus a single-vector remainder
+        c=st.sampled_from([1, 8, 16, 33, 260]),
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=60, deadline=None)
@@ -225,14 +265,15 @@ class TestNativeDepthwise:
     ):
         """Spatial sizes up to 9 against kernels up to 7 with same-style
         padding: taps clip at every border, often on both sides of one
-        window at once."""
+        window at once; rows up to 20 wide also run the four-pixel
+        interior blocks."""
         rng = np.random.default_rng(seed)
         xb = random_int8(rng, (batch, h, w, c))
         wd = random_int8(rng, (k, k, c))
         mult = quantize_multiplier(float(rng.uniform(1e-3, 0.05)))
         pad, stride = (k - 1) // 2, s2 * s3
         np.testing.assert_array_equal(
-            leaves.depthwise(xb, wd, mult, stride, pad),
+            leaves.depthwise(xb, pack_i32_pad16(wd, 0), mult, stride, pad),
             get_execution_backend("fast")._depthwise_batch(
                 xb, wd, mult, stride, pad
             ),
@@ -240,12 +281,18 @@ class TestNativeDepthwise:
 
     def test_rejects_bad_geometry(self, leaves):
         xb = np.zeros((1, 4, 4, 8), dtype=np.int8)
+        packed = pack_i32_pad16(np.zeros((3, 3, 8), np.int8), 0)
+        with pytest.raises(ShapeError):  # packed for 20 channels, not 8
+            leaves.depthwise(
+                xb, pack_i32_pad16(np.zeros((3, 3, 20), np.int8), 0),
+                MULT, 1, 1,
+            )
+        with pytest.raises(ShapeError):  # int8, not the int32 pack
+            leaves.depthwise(xb, np.zeros((3, 3, 16), np.int8), MULT, 1, 1)
         with pytest.raises(ShapeError):
-            leaves.depthwise(xb, np.zeros((3, 3, 4), np.int8), MULT, 1, 1)
+            leaves.depthwise(xb, packed, MULT, 0, 1)
         with pytest.raises(ShapeError):
-            leaves.depthwise(xb, np.zeros((3, 3, 8), np.int8), MULT, 0, 1)
-        with pytest.raises(ShapeError):
-            leaves.depthwise(xb[0], np.zeros((3, 3, 8), np.int8), MULT, 1, 1)
+            leaves.depthwise(xb[0], packed, MULT, 1, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -339,31 +386,72 @@ class TestTurboParity:
         strides=st.sampled_from(
             [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 2, 2)]
         ),
+        # off, on and across the 16-lane channel blocks
+        channels=st.tuples(*[st.sampled_from([3, 8, 17, 24, 40])] * 3),
+        batch=st.sampled_from([1, 3]),
         seed=st.integers(0, 2**31),
     )
-    @settings(max_examples=20, deadline=None)
-    def test_bottleneck(self, hw, kernel, strides, seed):
-        """Expand GEMM, depthwise at stride s2*s3 and the project GEMM
-        with its residual add fused into the requantize."""
+    @settings(max_examples=40, deadline=None)
+    def test_bottleneck(self, hw, kernel, strides, channels, batch, seed):
+        """Expand, depthwise at stride s2*s3 (which skips expanded rows
+        when it exceeds k), project and the residual add, as one fused
+        native pass wherever the host builds it."""
         rng = np.random.default_rng(seed)
+        c_in, c_mid, c_out = channels
         spec = BottleneckSpec(
-            name="t", hw=hw, c_in=8, c_mid=24, c_out=8, kernel=kernel,
-            strides=strides,
+            name="t", hw=hw, c_in=c_in, c_mid=c_mid, c_out=c_out,
+            kernel=kernel, strides=strides,
         )
         if not spec.fusable():
             return
+        pipe = Pipeline(hw, c_in)
+        pipe.add(
+            BottleneckStage(
+                "b", c_mid=c_mid, c_out=c_out, kernel=kernel,
+                w_expand=random_int8(rng, (c_in, c_mid)),
+                w_dw=random_int8(rng, (kernel, kernel, c_mid)),
+                w_project=random_int8(rng, (c_mid, c_out)),
+                mults=(MULT, quantize_multiplier(0.01),
+                       quantize_multiplier(0.03)),
+                strides=strides,
+            )
+        )
+        plan = pipe.plan()
+        xs = [random_int8(rng, (hw, hw, c_in)) for _ in range(batch)]
+        with fused_calls() as calls:
+            turbo = get_execution_backend("turbo").run_pipeline_batch(
+                pipe, plan, xs
+            )
+        # (a new plan's cost-template dry run is one more call)
+        assert bool(calls) == fused_bottleneck_expected()
+        fast = get_execution_backend("fast").run_pipeline_batch(
+            pipe, plan, xs
+        )
+        for tr, fr in zip(turbo, fast):
+            np.testing.assert_array_equal(tr.output, fr.output)
+            for a, b in zip(tr.stage_runs, fr.stage_runs):
+                assert_runs_match(a, b)
+
+    def test_single_bottleneck_kernel(self):
+        """``FusedBottleneckKernel.run`` goes through the same leaf; 100
+        and 72 channels take the GEMMs' four-vector blocks even at 16
+        lanes, and 9 pixels per row leave a one-pixel tail."""
+        rng = np.random.default_rng(9)
+        spec = BottleneckSpec(
+            name="t", hw=9, c_in=16, c_mid=100, c_out=72, kernel=5
+        )
         kern = FusedBottleneckKernel(spec)
         args = (
-            random_int8(rng, (hw, hw, 8)),
-            random_int8(rng, (8, 24)),
-            random_int8(rng, (kernel, kernel, 24)),
-            random_int8(rng, (24, 8)),
+            random_int8(rng, (9, 9, 16)),
+            random_int8(rng, (16, 100)),
+            random_int8(rng, (5, 5, 100)),
+            random_int8(rng, (100, 72)),
             (MULT, quantize_multiplier(0.01), quantize_multiplier(0.03)),
         )
-        assert_runs_match(
-            kern.run(*args, execution="turbo"),
-            kern.run(*args, execution="fast"),
-        )
+        with fused_calls() as calls:
+            turbo = kern.run(*args, execution="turbo")
+        assert bool(calls) == fused_bottleneck_expected()
+        assert_runs_match(turbo, kern.run(*args, execution="fast"))
 
     def test_avgpool(self):
         rng = np.random.default_rng(8)

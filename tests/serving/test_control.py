@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.errors import AdmissionError, ConfigError, ServingError
 from repro.graph.models import build_classifier_graph
-from repro.serving import Dispatcher, FleetConfig, TenantPolicy
+from repro.serving import Dispatcher, FleetConfig, Session, TenantPolicy
 from repro.serving.control import Autoscaler, ControlPlane
 
 
@@ -342,7 +342,20 @@ class TestLiveReconfiguration:
                 time.sleep(0.01)
             assert n <= 2
 
-    def test_autoscaler_grows_under_backlog(self, compiled_cls):
+    def test_autoscaler_grows_under_backlog(self, compiled_cls, monkeypatch):
+        # The backlog must reach the autoscaler before any batch finishes:
+        # from the first service sample on, its drain-time rule (backlog x
+        # service time within half the 30 s deadline) rightly keeps one
+        # worker.  Batches wait until the burst is queued; otherwise a
+        # first request served before the next two submits would race it.
+        burst_queued = threading.Event()
+        run_batch = Session.run_batch
+
+        def after_burst(self, *args, **kwargs):
+            burst_queued.wait(60.0)
+            return run_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "run_batch", after_burst)
         cfg = FleetConfig(
             min_workers=1, max_workers=3, max_batch=1,
             max_queue_depth=256, scale_cooldown_s=0.0,
@@ -354,6 +367,7 @@ class TestLiveReconfiguration:
                 d.submit(random_int8(rng, input_shape(compiled_cls)))
                 for _ in range(24)
             ]
+            burst_queued.set()
             for t in tickets:
                 t.result(60.0)
             st_ = d.stats
