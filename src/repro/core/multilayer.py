@@ -142,8 +142,16 @@ class BottleneckSpec:
 
     @property
     def has_residual(self) -> bool:
-        """Skip connection exists iff shapes are preserved (MobileNetV2 rule)."""
-        return self.stride_product == 1 and self.c_in == self.c_out
+        """Skip connection exists iff shapes are preserved (MobileNetV2 rule).
+
+        Unit strides and ``c_in == c_out`` are not enough: an even kernel's
+        same-style padding ``(k-1)//2`` shrinks the image by one pixel.
+        """
+        return (
+            self.stride_product == 1
+            and self.c_in == self.c_out
+            and self.spatial_out() == self.hw
+        )
 
     def spatial_out(self) -> int:
         extent = self.hw

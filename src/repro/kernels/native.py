@@ -8,22 +8,28 @@ stages.  The paper's fused kernel streams the block row by row instead;
 
 * ``vmcu_bottleneck`` — a whole bottleneck block in one pass per output
   row: pointwise expand, ``k x k`` depthwise at the composite stride
-  ``s2*s3`` with taps clipped at the zero-padded borders, pointwise
-  project, every requantize and the saturating residual add.  Only a
-  ``k``-row int32 ring of the expanded tensor and one row of
-  accumulators are ever held;
+  ``s2*s3`` over zero-bordered rows, pointwise project, every requantize
+  and the saturating residual add.  Only a ``k``-row ring of the
+  expanded tensor and one row of accumulators are ever held;
 * ``vmcu_requant_i32`` / ``vmcu_requant_f64`` — the exact gemmlowp
   requantize in one pass over int32 or float64-held accumulators, with the
   bottleneck's saturating residual add optionally fused in;
 * ``vmcu_depthwise`` — the standalone depthwise convolution, on the same
   tap loop and requantize as the bottleneck.
 
-The depthwise and bottleneck take weights packed by
-:func:`pack_i32_pad16` (int32, channel axis zero-padded to 16k) and run one int32 vector per channel block, sized to
-the build target: 16 lanes under AVX-512, 8 under AVX2, 4 otherwise.
-``vmcu_bottleneck`` is compiled only with 8 or more lanes (AVX2 and
-up), so the build target, not an option, decides whether turbo fuses
-bottlenecks (:attr:`_Leaves.fused_bottleneck`).
+Their multiply-accumulates run as the paper's MCU kernels run them with
+SMLAD: int8 operands widened to int16 pairs, and one x86 ``pmaddwd``
+adding two products into each int32 lane.  That is exact: an int8
+product is at most ``2**14`` in magnitude, so a pair sum is at most
+``2**15``; ``pmaddwd`` overflows only on two ``(-32768)*(-32768)``
+products, which int8 operands never produce; and the lanes accumulate
+modulo ``2**32`` like NumPy's int32.  Weights come from
+:func:`pack_i16_pairs`: the reduction axis in int16 pairs, the channel
+axis zero-padded to 16k.  The depthwise pairs horizontally adjacent taps,
+so its rows are held paired too.  Vectors are sized to the build target
+by its predefined macros: 16 int32 lanes under AVX-512BW, 8 under AVX2,
+4 under SSE2, which every x86-64 target has, and a portable form of
+``pmaddwd`` at 4 lanes elsewhere.  Every build has every leaf.
 
 :func:`build` compiles a C source with ``gcc -O3 -march=native -shared
 -fPIC`` into a per-user cache (:func:`cache_dir`) under a name hashed from
@@ -33,7 +39,7 @@ host compiles once and later processes only load.  :func:`leaves` builds
 and loads the leaves on first use, once per process; it returns ``None``
 when there is no compiler or the compile fails, and the turbo backend then
 keeps its NumPy leaves.  :func:`status` says which path this process
-takes, and whether bottlenecks run fused::
+takes::
 
     python -c "from repro.kernels.native import status; print(status())"
 """
@@ -58,7 +64,7 @@ __all__ = [
     "build",
     "cache_dir",
     "leaves",
-    "pack_i32_pad16",
+    "pack_i16_pairs",
     "status",
 ]
 
@@ -168,29 +174,46 @@ def _padded(c: int) -> int:
     return -(-c // CHANNEL_PAD) * CHANNEL_PAD
 
 
-def pack_i32_pad16(w: np.ndarray, seg: int) -> np.ndarray:
-    """Promote int8 weights to int32, last axis zero-padded to 16k.
+def pack_i16_pairs(w: np.ndarray, seg: int) -> np.ndarray:
+    """int8 ``w[..., K, C]`` as int16 pairs ``[..., ceil(K/2), C16, 2]``.
 
-    The operand layout of the native depthwise and fused-bottleneck
-    leaves; the zero lanes contribute nothing.  A packer for
+    Element ``[..., t, c, j]`` is ``w[..., 2t + j, c]``: the two
+    reduction terms one ``pmaddwd`` lane multiplies.  ``K`` is zero-padded
+    to even and ``C`` to ``C16``, a multiple of 16; the zero lanes
+    contribute nothing.  The operand layout of the native leaves (``K`` is
+    ``c_in`` for the expand, ``c_mid`` for the project and the horizontal
+    tap axis for the depthwise ``[k, k, C]``).  A packer for
     :func:`~repro.kernels.base.cached_pack`, with the same contract as
     :func:`~repro.kernels.base.pack_i32` (``seg`` is unused).
     """
-    c = w.shape[-1]
-    out = np.zeros((*w.shape[:-1], _padded(c)), dtype=np.int32)
-    out[..., :c] = w
+    *lead, kdim, c = w.shape
+    out = np.zeros((*lead, -(-kdim // 2), _padded(c), 2), dtype=np.int16)
+    out[..., :c, 0] = w[..., 0::2, :]
+    out[..., : kdim // 2, :c, 1] = w[..., 1::2, :]
     return out
 
 
-def _packed(w: np.ndarray, lead: tuple[int, ...], c: int) -> np.ndarray:
-    """``w`` checked as the :func:`pack_i32_pad16` pack of ``c`` channels."""
-    shape = (*lead, _padded(c))
-    if w.dtype != np.int32 or w.shape != shape:
+def _packed(
+    w: np.ndarray, lead: tuple[int, ...], kdim: int, c: int
+) -> np.ndarray:
+    """``w`` checked as the :func:`pack_i16_pairs` pack of int8
+    ``[*lead, kdim, c]`` weights."""
+    shape = (*lead, -(-kdim // 2), _padded(c), 2)
+    if w.dtype != np.int16 or w.shape != shape:
         raise ShapeError(
-            f"packed weight must be int32{list(shape)}, got "
+            f"packed weight must be int16{list(shape)}, got "
             f"{w.dtype}{list(w.shape)}"
         )
     return np.ascontiguousarray(w)
+
+
+def _tap_rows(k: int, stride: int, pad: int, q: int, wd: int, cpad: int):
+    """Scratch of the depthwise tap loop for ``q`` outputs per row over
+    ``wd``-pixel rows: the zeroed bordered row and the ring of ``k``
+    paired rows (``erow`` and ``ring`` in the C source)."""
+    ns = (q - 1) * stride + 2 * (-(-k // 2)) - 1
+    erow = np.zeros((max(ns + 1, pad + wd), cpad), dtype=np.int16)
+    return erow, np.empty((k, ns, cpad, 2), dtype=np.int16)
 
 
 class _Leaves:
@@ -204,23 +227,16 @@ class _Leaves:
             fn.argtypes = (ptr, ptr, ptr, i64, i32, i32)
             fn.restype = None
         self._depthwise = lib.vmcu_depthwise
-        self._depthwise.argtypes = (ptr,) * 5 + (i32,) * 11
+        self._depthwise.argtypes = (ptr,) * 6 + (i32,) * 11
         self._depthwise.restype = None
+        self._bottleneck = lib.vmcu_bottleneck
+        self._bottleneck.argtypes = (ptr,) * 10 + (i32,) * 18
+        self._bottleneck.restype = None
         lib.vmcu_lanes.argtypes = ()
         lib.vmcu_lanes.restype = i32
-        #: int32 lanes per vector in this build: 16 under AVX-512, 8 under
-        #: AVX2, 4 otherwise
+        #: int32 lanes per vector in this build: 16 under AVX-512BW, 8
+        #: under AVX2, 4 otherwise
         self.lanes = int(lib.vmcu_lanes())
-        # compiled only for targets with 256-bit or wider integer vectors
-        self._bottleneck = getattr(lib, "vmcu_bottleneck", None)
-        if self._bottleneck is not None:
-            self._bottleneck.argtypes = (ptr,) * 9 + (i32,) * 18
-            self._bottleneck.restype = None
-
-    @property
-    def fused_bottleneck(self) -> bool:
-        """Whether this build has the fused bottleneck leaf."""
-        return self._bottleneck is not None
 
     @staticmethod
     def _mult_args(mult) -> tuple[int, int]:
@@ -259,14 +275,14 @@ class _Leaves:
         """Depthwise ``int8[B, H, W, C]`` taps, requantized.
 
         Same contract as ``FastBackend._depthwise_batch``, except that
-        ``w`` is the ``pack_i32_pad16`` pack of the ``int8[k, k, C]``
+        ``w`` is the ``pack_i16_pairs`` pack of the ``int8[k, k, C]``
         weights.
         """
         if xb.ndim != 4 or xb.dtype != np.int8:
             raise ShapeError("depthwise needs int8 [B, H, W, C] activations")
         bsz, h, wd, c = xb.shape
         k = w.shape[0]
-        w = _packed(w, (k, k), c)
+        w = _packed(w, (k,), k, c)
         if stride <= 0 or pad < 0:
             raise ShapeError(f"bad depthwise stride {stride} / pad {pad}")
         p = (h + 2 * pad - k) // stride + 1
@@ -277,13 +293,13 @@ class _Leaves:
             )
         xb = np.ascontiguousarray(xb)
         out = np.empty((bsz, p, q, c), dtype=np.int8)
-        # the int32 ring of k input rows and one row of accumulators
-        ring = np.zeros((k, wd, w.shape[-1]), dtype=np.int32)
-        row = np.empty((q, w.shape[-1]), dtype=np.int32)
+        cp = w.shape[-2]
+        erow, ring = _tap_rows(k, stride, pad, q, wd, cp)
+        acc = np.empty((q, cp), dtype=np.int32)
         self._depthwise(
-            xb.ctypes.data, w.ctypes.data, out.ctypes.data, ring.ctypes.data,
-            row.ctypes.data, bsz, h, wd, c, k, stride, pad, p, q,
-            *self._mult_args(mult),
+            xb.ctypes.data, w.ctypes.data, out.ctypes.data, erow.ctypes.data,
+            ring.ctypes.data, acc.ctypes.data, bsz, h, wd, c, k, stride,
+            pad, p, q, *self._mult_args(mult),
         )
         return out
 
@@ -296,11 +312,8 @@ class _Leaves:
         and the residual add in one pass per output row, holding only a
         ``k``-row ring of the expanded tensor.  Same contract as
         ``FastBackend._bottleneck_batch``, except that the weights are
-        ``pack_i32_pad16`` packs; only builds with
-        :attr:`fused_bottleneck` have it.
+        ``pack_i16_pairs`` packs.
         """
-        if self._bottleneck is None:
-            raise KernelError("this build has no fused bottleneck leaf")
         hw, k = spec.hw, spec.kernel
         if xb.ndim != 4 or xb.dtype != np.int8 or xb.shape[1:] != (
             hw, hw, spec.c_in
@@ -309,9 +322,9 @@ class _Leaves:
                 f"bottleneck needs int8[B,{hw},{hw},{spec.c_in}], got "
                 f"{xb.dtype}{list(xb.shape)}"
             )
-        we = _packed(w_expand, (spec.c_in,), spec.c_mid)
-        wdw = _packed(w_dw, (k, k), spec.c_mid)
-        wp = _packed(w_project, (spec.c_mid,), spec.c_out)
+        we = _packed(w_expand, (), spec.c_in, spec.c_mid)
+        wdw = _packed(w_dw, (k,), k, spec.c_mid)
+        wp = _packed(w_project, (), spec.c_mid, spec.c_out)
         s1, s2, s3 = spec.strides
         hb, p = spec.mid_spatial(), spec.spatial_out()
         if spec.has_residual and (p, spec.c_out) != (hw, spec.c_in):
@@ -322,21 +335,23 @@ class _Leaves:
         bsz = xb.shape[0]
         xb = np.ascontiguousarray(xb)
         out = np.empty((bsz, p, p, spec.c_out), dtype=np.int8)
-        cm, co = wdw.shape[-1], wp.shape[-1]
-        # scratch: one widened input row, the k-row ring of the expanded
-        # tensor, and one output row each of depthwise and project sums
-        xrow = np.empty((hb, spec.c_in), dtype=np.int32)
-        ring = np.empty((k, hb, cm), dtype=np.int32)
-        dwrow = np.empty((p, cm), dtype=np.int32)
-        prow = np.empty((p, co), dtype=np.int32)
+        cm, co = wdw.shape[-2], wp.shape[-2]
+        # scratch: one widened input row (its odd column stays zero), the
+        # bordered row and k-row paired ring of the expanded tensor, the
+        # project's input row, and one row of each stage's raw sums
+        xrow = np.zeros((hb, spec.c_in + spec.c_in % 2), dtype=np.int16)
+        erow, ring = _tap_rows(k, s2 * s3, spec.padding, p, hb, cm)
+        drow = np.empty((p, cm), dtype=np.int16)
+        acc = np.empty((hb, max(cm, co)), dtype=np.int32)
         m1, mdw, m2 = mults
         self._bottleneck(
             xb.ctypes.data, out.ctypes.data, we.ctypes.data, wdw.ctypes.data,
-            wp.ctypes.data, xrow.ctypes.data, ring.ctypes.data,
-            dwrow.ctypes.data, prow.ctypes.data, bsz, hw, spec.c_in,
-            spec.c_mid, spec.c_out, k, s1, s2 * s3, spec.padding, hb, p,
-            int(spec.has_residual), *self._mult_args(m1),
-            *self._mult_args(mdw), *self._mult_args(m2),
+            wp.ctypes.data, xrow.ctypes.data, erow.ctypes.data,
+            ring.ctypes.data, drow.ctypes.data, acc.ctypes.data, bsz, hw,
+            spec.c_in, spec.c_mid, spec.c_out, k, s1, s2 * s3,
+            spec.padding, hb, p, int(spec.has_residual),
+            *self._mult_args(m1), *self._mult_args(mdw),
+            *self._mult_args(m2),
         )
         return out
 
@@ -383,10 +398,4 @@ def status() -> str:
     line = f"native leaves: {_loaded[1]}"
     if found is None:
         return line
-    if found.fused_bottleneck:
-        return f"{line}; fused bottleneck on, {found.lanes} int32 lanes"
-    return (
-        f"{line}; fused bottleneck off ({found.lanes}-lane int32 vectors, "
-        "needs 8 or more): bottlenecks run the BLAS + requantize + "
-        "depthwise leaves"
-    )
+    return f"{line}; {found.lanes} int32 lanes"

@@ -5,19 +5,23 @@ cost derivation; what remains per request is the arithmetic itself, and
 NumPy executes integer matmuls with its generic C inner loop — BLAS never
 sees them — and the requantize epilogue and depthwise taps as many
 whole-tensor passes.  This backend swaps the three arithmetic leaves of
-:class:`~repro.kernels.fastpath.FastBackend`, and where the host builds
-it the whole bottleneck stage, for implementations that run at BLAS or
-compiled-C rate while remaining *provably bit-exact*:
+:class:`~repro.kernels.fastpath.FastBackend`, and wherever the native
+leaves build, the whole bottleneck stage, for implementations that run
+at BLAS or compiled-C rate while remaining *provably bit-exact*:
 
-* **bottleneck stages** — on hosts whose ``gcc -march=native`` target
-  has 256-bit or wider integer vectors (AVX2, AVX-512), the native
-  ``vmcu_bottleneck`` leaf of :mod:`repro.kernels.native` runs each
-  inverted bottleneck in one pass per output row, as the paper's fused
-  kernel does: expand, depthwise at stride ``s2*s3``, project, every
-  requantize and the residual add, keeping only a ``k``-row int32 ring
-  of the expanded tensor.  Its int32 accumulation wraps modulo ``2**32``
-  exactly like the fast backend's, so it is bit-exact for any reduction
-  depth.  Other hosts run the three-leaf path below.
+* **bottleneck stages** — the native ``vmcu_bottleneck`` leaf of
+  :mod:`repro.kernels.native` runs each inverted bottleneck in one pass
+  per output row, as the paper's fused kernel does: expand, depthwise at
+  stride ``s2*s3``, project, every requantize and the residual add,
+  keeping only a ``k``-row ring of the expanded tensor.  Its
+  multiply-accumulates are ``pmaddwd`` over int16 pairs of the int8
+  operands, the host's counterpart of the SMLAD the paper's MCU kernels
+  run: two products per int32 lane.  A pair sum is at most ``2**15`` in
+  magnitude, so no lane overflows, and the int32 accumulation wraps
+  modulo ``2**32`` exactly like the fast backend's, so it is bit-exact
+  for any reduction depth.  Every build target has the leaf, with one
+  ``pmaddwd`` per target (AVX-512BW, AVX2, SSE2, or a portable form);
+  only a host without a compiler runs the three-leaf path below.
 
 * **GEMM** — int8 operands are exactly representable in float64, and a
   dot product over ``K`` terms is bounded by ``K * 128 * 128 = K * 2**14``
@@ -44,14 +48,15 @@ compiled-C rate while remaining *provably bit-exact*:
   :mod:`repro.kernels.native`, compiled once per host with ``gcc``:
   one pass per element of the exact gemmlowp integer pipeline, with the
   bottleneck's saturating residual add fused in, and a depthwise kernel
-  that clips taps at the padded borders, takes the bottleneck's
-  composite stride directly and requantizes each output in the same
-  pass.  The requantize is exact on the GEMM's float64 accumulators, not
-  just close: they hold integers of magnitude below ``2**31`` (the bound
-  above), which a double represents exactly, so the C conversion to an
-  integer loses nothing and everything after it is the integer pipeline
-  of :func:`repro.quant.requantize`.  Without a compiler, or when the
-  build fails, the backend keeps NumPy leaves instead:
+  on the fused leaf's tap loop, which pads its rows with zeros, takes
+  the bottleneck's composite stride directly and requantizes each output
+  in the same pass.  The requantize is exact on the GEMM's float64
+  accumulators, not just close: they hold integers of magnitude below
+  ``2**31`` (the bound above), which a double represents exactly, so the
+  C conversion to an integer loses nothing and everything after it is
+  the integer pipeline of :func:`repro.quant.requantize`.  Without a
+  compiler, or when the build fails, the backend keeps NumPy leaves
+  instead:
   :func:`repro.quant.requantize_fast` (one float64 multiply-and-round,
   with the exact integer pipeline replayed only on the few percent of
   elements near a rounding boundary; see its docstring) and the fast
@@ -84,7 +89,7 @@ from repro.kernels.fastpath import (
     _fault_hook,
     _saturating_add,
 )
-from repro.kernels.native import pack_i32_pad16
+from repro.kernels.native import pack_i16_pairs
 from repro.quant import requantize_fast
 
 __all__ = ["TurboBackend", "I32_SAFE_K", "gemm_is_exact"]
@@ -107,9 +112,9 @@ class TurboBackend(FastBackend):
     name = "turbo"
     #: sessions warm every layout: float64 for the BLAS GEMMs, int32 for
     #: the NumPy tap loop (when the native leaves are unavailable) and
-    #: the deep-reduction fallback, and the padded int32 operands of the
-    #: native depthwise and fused bottleneck
-    weight_packers = (pack_i32, pack_f64, pack_i32_pad16)
+    #: the deep-reduction fallback, and the int16 pairs of the native
+    #: depthwise and fused bottleneck
+    weight_packers = (pack_i32, pack_f64, pack_i16_pairs)
 
     def _gemm(
         self, x2d: np.ndarray, w: np.ndarray,
@@ -136,18 +141,18 @@ class TurboBackend(FastBackend):
         if leaves is None:
             return super()._depthwise_batch(xb, w, mult, stride, pad)
         return leaves.depthwise(
-            xb, cached_pack(w, 0, pack_i32_pad16), mult, stride, pad
+            xb, cached_pack(w, 0, pack_i16_pairs), mult, stride, pad
         )
 
     def _bottleneck_batch(self, kern, xb, w_expand, w_dw, w_project, mults):
         leaves = native.leaves()
-        if leaves is None or not leaves.fused_bottleneck:
+        if leaves is None:
             return super()._bottleneck_batch(
                 kern, xb, w_expand, w_dw, w_project, mults
             )
         _check_bottleneck_batch(kern.spec, xb)
         we, wdw, wp = (
-            cached_pack(w, 0, pack_i32_pad16)
+            cached_pack(w, 0, pack_i16_pairs)
             for w in (w_expand, w_dw, w_project)
         )
         return leaves.bottleneck(xb, kern.spec, we, wdw, wp, mults)

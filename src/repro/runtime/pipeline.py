@@ -388,7 +388,8 @@ class Pipeline:
         segment operation in one shared circular pool (race-checked);
         ``"fast"`` executes each stage as vectorized NumPy with the pool
         events derived analytically — identical outputs and cost reports,
-        orders of magnitude faster; ``"turbo"`` runs the same with exact
+        orders of magnitude faster; ``"turbo"`` runs the same with
+        bottlenecks in a native fused leaf and the other GEMMs in exact
         float64 BLAS arithmetic.  :meth:`run_batch` additionally
         amortizes event generation into a per-plan cost template.
         """

@@ -25,9 +25,9 @@ The scale-out layer above :class:`~repro.serving.session.Session`:
   config's range from queue depth and the per-tenant EWMA service
   estimates, with hysteresis; resizes land in the audit trail;
 * **workers** pop batches and dispatch them through the tenant's warmed
-  :class:`Session`.  Thread workers are the default — the stacked-GEMM
-  hot path releases the GIL inside NumPy/BLAS, so threads shard real
-  work on multicore hosts while sharing every cache.
+  :class:`Session`.  Thread workers are the default — the hot path
+  releases the GIL inside the native leaves and NumPy/BLAS, so threads
+  shard real work on multicore hosts while sharing every cache.
   ``workers="process"`` forks one worker pool instead and falls back to
   per-request dispatch (sessions are inherited copy-on-write; children
   return raw outputs and the parent re-attaches the shared cost
@@ -443,7 +443,8 @@ class Dispatcher:
         size).
     execution:
         Backend for every tenant session; the ``"turbo"`` default keeps
-        bit-exactness while running the stacked GEMMs at BLAS rate.
+        bit-exactness while running bottlenecks in its native fused leaf
+        and the other stacked GEMMs at BLAS rate.
     max_batch, max_queue_depth, default_deadline_s, batch_timeout_s:
         Shorthand for the matching :class:`FleetConfig` fields when no
         ``config`` is given.

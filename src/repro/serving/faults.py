@@ -66,7 +66,7 @@ SITES = (
     "backend.turbo",       # TurboBackend.run_pipeline_batch (inherited)
     "backend.turbo.gemm",  # TurboBackend._gemm: the BLAS leaf of
                            # pointwise/dense stages, and of bottlenecks
-                           # only where the fused leaf is not built
+                           # only without the native leaves
     "worker.loop",         # dispatcher worker thread, before claiming work
     "process.child",       # forked pool child, before serving a request
 )

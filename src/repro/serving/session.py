@@ -134,9 +134,11 @@ class Session:
         The planned model to serve.
     execution:
         Name of the registered execution backend used for dispatch.  The
-        default ``"turbo"`` backend executes each stage as one stacked
-        exact float64 BLAS GEMM across the batch; ``"fast"`` stacks the
-        same batch through int32 GEMMs (bit-identical, slower); any
+        default ``"turbo"`` backend stacks the batch through each stage,
+        running bottlenecks in its native fused leaf and pointwise and
+        dense stages as exact float64 BLAS GEMMs; ``"fast"`` stacks the
+        same batch through NumPy int32 arithmetic (bit-identical,
+        slower); any
         registered backend works (``"simulate"`` falls back to
         per-request dispatch), which keeps the serving layer decoupled
         from any single backend implementation.

@@ -72,6 +72,8 @@ class TestBottleneckSpec:
         assert BottleneckSpec("t", 8, 16, 32, 16, 3, (1, 1, 1)).has_residual
         assert not BottleneckSpec("t", 8, 16, 32, 24, 3, (1, 1, 1)).has_residual
         assert not BottleneckSpec("t", 8, 16, 32, 16, 3, (1, 2, 1)).has_residual
+        # k=4's padding of 1 shrinks 8x8 to 7x7: no shape-preserving skip
+        assert not BottleneckSpec("t", 8, 16, 32, 16, 4, (1, 1, 1)).has_residual
 
     def test_tensor_sizes(self):
         spec = BottleneckSpec("t", 20, 16, 48, 16, 3, (1, 1, 1))

@@ -198,6 +198,28 @@ class TestBottleneckParity:
             kern.run(x, w1, wd, w2, BLOCK_MULTS, execution="fast"),
         )
 
+    @pytest.mark.parametrize("kernel", [2, 4, 6])
+    def test_even_kernel_all_backends_agree(self, kernel):
+        """An even kernel's padding shrinks 8x8 to 7x7, so the block has
+        no residual even at unit strides and c_in == c_out, and every
+        backend computes the same block."""
+        rng = np.random.default_rng(kernel)
+        spec = BottleneckSpec(
+            name="t", hw=8, c_in=8, c_mid=16, c_out=8, kernel=kernel
+        )
+        assert spec.spatial_out() == 7 and not spec.has_residual
+        kern = FusedBottleneckKernel(spec)
+        args = (
+            random_int8(rng, (8, 8, 8)),
+            random_int8(rng, (8, 16)),
+            random_int8(rng, (kernel, kernel, 16)),
+            random_int8(rng, (16, 8)),
+            BLOCK_MULTS,
+        )
+        sim = kern.run(*args)
+        for execution in ("fast", "turbo"):
+            assert_runs_identical(sim, kern.run(*args, execution=execution))
+
 
 class TestBackendRegistry:
     def test_both_backends_registered(self):

@@ -8,10 +8,11 @@
 * with no compiler on ``PATH``, or a compile that fails, the turbo backend
   keeps serving bit-exact results through ``requantize_fast`` and the
   NumPy tap loop;
-* the build target selects the fused bottleneck leaf: an AVX2 build has
-  it at 8 int32 lanes and serves bit-exact through it, a baseline x86-64
-  build leaves it out and serves bit-exact through the three-leaf path,
-  and ``status()`` says which.
+* every build target has the fused bottleneck leaf and serves bit-exact
+  through it: an AVX2 build at 8 int32 lanes, a baseline x86-64 (SSE2)
+  build at 4, and a build with the intrinsic branches' macros undefined,
+  which runs the portable form of ``pmaddwd``; ``status()`` reports the
+  lanes.
 """
 
 from __future__ import annotations
@@ -182,6 +183,45 @@ def test_turbo_falls_back_bit_exact(tmp_path, monkeypatch, breakage):
         )
 
 
+def _serves_bit_exact(path: Path, monkeypatch) -> native._Leaves:
+    """Load the library at ``path`` as this process's leaves; turbo must
+    serve the bottleneck pipeline through its fused leaf and its
+    depthwise leaf must match the NumPy tap loop, bit for bit."""
+    found = native._Leaves(ctypes.CDLL(str(path)))
+    monkeypatch.setattr(native, "_loaded", (found, f"loaded from {path}"))
+    rng = np.random.default_rng(1)
+    pipe = _bottleneck_pipeline(rng)
+    plan = pipe.plan()
+    xs = [
+        rng.integers(-128, 128, size=(12, 12, 8), dtype=np.int8)
+        for _ in range(3)
+    ]
+    with fused_calls() as calls:
+        results = get_execution_backend("turbo").run_pipeline_batch(
+            pipe, plan, xs
+        )
+    assert calls
+    for x, res in zip(xs, results):
+        np.testing.assert_array_equal(
+            res.output, pipe.run(x, plan=plan, execution="fast").output
+        )
+    xb = rng.integers(-128, 128, size=(2, 9, 13, 33), dtype=np.int8)
+    mult = quantize_multiplier(0.02)
+    for k in (2, 3, 4, 7):
+        wd = rng.integers(-128, 128, size=(k, k, 33), dtype=np.int8)
+        for stride in (1, 2):
+            np.testing.assert_array_equal(
+                found.depthwise(
+                    xb, native.pack_i16_pairs(wd, 0), mult, stride,
+                    (k - 1) // 2,
+                ),
+                get_execution_backend("fast")._depthwise_batch(
+                    xb, wd, mult, stride, (k - 1) // 2
+                ),
+            )
+    return found
+
+
 @pytest.mark.skipif(
     platform.machine() not in ("x86_64", "AMD64"),
     reason="builds for x86-64 -march targets",
@@ -198,29 +238,19 @@ def test_build_target_selects_the_fused_bottleneck(
         native, "CFLAGS", ("-O3", f"-march={march}", "-shared", "-fPIC")
     )
     path = native.build(native.SOURCE.read_text(), directory=tmp_path)
-    fused = lanes >= 8
-    assert hasattr(ctypes.CDLL(str(path)), "vmcu_bottleneck") == fused
-    found = native._Leaves(ctypes.CDLL(str(path)))
-    assert (found.lanes, found.fused_bottleneck) == (lanes, fused)
-    monkeypatch.setattr(native, "_loaded", (found, f"loaded from {path}"))
-    if fused:
-        assert f"fused bottleneck on, {lanes} int32 lanes" in native.status()
-    else:
-        assert "fused bottleneck off" in native.status()
+    assert hasattr(ctypes.CDLL(str(path)), "vmcu_bottleneck")
+    assert _serves_bit_exact(path, monkeypatch).lanes == lanes
+    assert f"{lanes} int32 lanes" in native.status()
 
-    rng = np.random.default_rng(1)
-    pipe = _bottleneck_pipeline(rng)
-    plan = pipe.plan()
-    xs = [
-        rng.integers(-128, 128, size=(12, 12, 8), dtype=np.int8)
-        for _ in range(3)
-    ]
-    with fused_calls() as calls:
-        results = get_execution_backend("turbo").run_pipeline_batch(
-            pipe, plan, xs
-        )
-    assert bool(calls) == fused
-    for x, res in zip(xs, results):
-        np.testing.assert_array_equal(
-            res.output, pipe.run(x, plan=plan, execution="fast").output
-        )
+
+def test_portable_pmaddwd_is_bit_exact(tmp_path, monkeypatch):
+    """With the macros that select the intrinsics undefined, the source
+    compiles its portable form of ``pmaddwd``, still for this CPU."""
+    if shutil.which(native.COMPILER) is None:
+        pytest.skip(f"no {native.COMPILER} on PATH")
+    monkeypatch.setattr(
+        native, "CFLAGS",
+        (*native.CFLAGS, "-U__SSE2__", "-U__AVX2__", "-U__AVX512BW__"),
+    )
+    path = native.build(native.SOURCE.read_text(), directory=tmp_path)
+    assert _serves_bit_exact(path, monkeypatch).lanes == 4

@@ -9,18 +9,17 @@ Three layers of evidence:
   against the NumPy reference arithmetic of ``"fast"``: requantize on
   int32 and float64-held accumulators at the int32 extremes, on exact
   rounding ties at every shift and both multiplier ends and with a
-  saturating residual, and the depthwise kernel over kernel sizes,
-  strides, batch sizes, channel counts and padding-clipped borders;
+  saturating residual, the depthwise kernel over even and odd kernel
+  sizes, strides, batch sizes, channel counts and padded borders, and
+  the int16 pair packing both leaves' weights take;
 * whole pipelines and single kernels run ``execution="turbo"`` against
   ``"fast"`` (itself parity-locked to ``"simulate"``) and must agree on
   outputs, per-stage cost reports and pool statistics; bottleneck
-  stages must run the fused native leaf wherever the host builds it.
+  stages must run the fused native leaf wherever the leaves load.
 """
 
 from __future__ import annotations
 
-import platform
-import shutil
 from contextlib import contextmanager
 from unittest import mock
 
@@ -40,7 +39,7 @@ from repro.kernels import (
     get_execution_backend,
     native,
 )
-from repro.kernels.native import pack_i32_pad16
+from repro.kernels.native import pack_i16_pairs
 from repro.kernels.pooling import GlobalAvgPoolKernel
 from repro.kernels.turbo import I32_SAFE_K, TurboBackend, gemm_is_exact
 from repro.quant import (
@@ -133,13 +132,9 @@ MULTIPLIERS = (1, 1 << 30, 2**31 - 1)
 
 
 def fused_bottleneck_expected() -> bool:
-    """Whether this host must run bottlenecks through the fused leaf: a
-    compiler and an x86-64 CPU with 256-bit integer vectors (AVX2)."""
-    return (
-        shutil.which(native.COMPILER) is not None
-        and platform.machine() in ("x86_64", "AMD64")
-        and "avx2" in native._cpu_flags().split()
-    )
+    """Whether turbo must run bottlenecks through the fused leaf: every
+    build of the native leaves has it."""
+    return native.leaves() is not None
 
 
 @contextmanager
@@ -246,9 +241,33 @@ class TestNativeRequantize:
             leaves.requantize(acc, MULT, np.zeros(16, dtype=np.int16))
 
 
+class TestPackI16Pairs:
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (2, 16), (3, 17), (8, 24), (17, 40), (3, 3, 5), (4, 4, 33),
+         (7, 7, 480)],
+    )
+    def test_round_trip(self, shape):
+        """Unpacking the pairs returns ``w``; every padding lane is zero."""
+        rng = np.random.default_rng(sum(shape))
+        w = random_int8(rng, shape)
+        *lead, kdim, c = shape
+        packed = pack_i16_pairs(w, 0)
+        assert packed.dtype == np.int16
+        assert packed.shape == (*lead, (kdim + 1) // 2, -(-c // 16) * 16, 2)
+        # [..., t, c, j] -> [..., 2t + j, c]
+        unpacked = np.moveaxis(packed, -1, -2).reshape(
+            *lead, packed.shape[-3] * 2, packed.shape[-2]
+        )
+        np.testing.assert_array_equal(unpacked[..., :kdim, :c], w)
+        assert not unpacked[..., kdim:, :].any()
+        assert not unpacked[..., c:].any()
+
+
 class TestNativeDepthwise:
     @given(
-        k=st.sampled_from([3, 5, 7]),
+        # even k pairs its taps exactly; odd k meets a zero last weight
+        k=st.sampled_from([2, 3, 4, 5, 7]),
         s2=st.sampled_from([1, 2]),
         s3=st.sampled_from([1, 2]),
         batch=st.sampled_from([1, 3]),
@@ -264,16 +283,18 @@ class TestNativeDepthwise:
         self, leaves, k, s2, s3, batch, h, w, c, seed
     ):
         """Spatial sizes up to 9 against kernels up to 7 with same-style
-        padding: taps clip at every border, often on both sides of one
+        padding: windows cross every border, often on both sides of one
         window at once; rows up to 20 wide also run the four-pixel
-        interior blocks."""
+        blocks."""
         rng = np.random.default_rng(seed)
         xb = random_int8(rng, (batch, h, w, c))
         wd = random_int8(rng, (k, k, c))
         mult = quantize_multiplier(float(rng.uniform(1e-3, 0.05)))
         pad, stride = (k - 1) // 2, s2 * s3
+        if min(h, w) + 2 * pad < k:  # an even k collapses a 1-pixel side
+            return
         np.testing.assert_array_equal(
-            leaves.depthwise(xb, pack_i32_pad16(wd, 0), mult, stride, pad),
+            leaves.depthwise(xb, pack_i16_pairs(wd, 0), mult, stride, pad),
             get_execution_backend("fast")._depthwise_batch(
                 xb, wd, mult, stride, pad
             ),
@@ -281,14 +302,14 @@ class TestNativeDepthwise:
 
     def test_rejects_bad_geometry(self, leaves):
         xb = np.zeros((1, 4, 4, 8), dtype=np.int8)
-        packed = pack_i32_pad16(np.zeros((3, 3, 8), np.int8), 0)
+        packed = pack_i16_pairs(np.zeros((3, 3, 8), np.int8), 0)
         with pytest.raises(ShapeError):  # packed for 20 channels, not 8
             leaves.depthwise(
-                xb, pack_i32_pad16(np.zeros((3, 3, 20), np.int8), 0),
+                xb, pack_i16_pairs(np.zeros((3, 3, 20), np.int8), 0),
                 MULT, 1, 1,
             )
-        with pytest.raises(ShapeError):  # int8, not the int32 pack
-            leaves.depthwise(xb, np.zeros((3, 3, 16), np.int8), MULT, 1, 1)
+        with pytest.raises(ShapeError):  # int8, not the int16 pairs
+            leaves.depthwise(xb, np.zeros((3, 2, 16, 2), np.int8), MULT, 1, 1)
         with pytest.raises(ShapeError):
             leaves.depthwise(xb, packed, MULT, 0, 1)
         with pytest.raises(ShapeError):
@@ -382,7 +403,7 @@ class TestTurboParity:
 
     @given(
         hw=st.integers(4, 10),
-        kernel=st.sampled_from([3, 5, 7]),
+        kernel=st.sampled_from([2, 3, 4, 5, 7]),
         strides=st.sampled_from(
             [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 2, 2)]
         ),
@@ -395,7 +416,8 @@ class TestTurboParity:
     def test_bottleneck(self, hw, kernel, strides, channels, batch, seed):
         """Expand, depthwise at stride s2*s3 (which skips expanded rows
         when it exceeds k), project and the residual add, as one fused
-        native pass wherever the host builds it."""
+        native pass wherever the leaves load.  Odd channel counts pad the
+        GEMMs' pairs, odd kernels the depthwise's."""
         rng = np.random.default_rng(seed)
         c_in, c_mid, c_out = channels
         spec = BottleneckSpec(
@@ -446,6 +468,26 @@ class TestTurboParity:
             random_int8(rng, (16, 100)),
             random_int8(rng, (5, 5, 100)),
             random_int8(rng, (100, 72)),
+            (MULT, quantize_multiplier(0.01), quantize_multiplier(0.03)),
+        )
+        with fused_calls() as calls:
+            turbo = kern.run(*args, execution="turbo")
+        assert bool(calls) == fused_bottleneck_expected()
+        assert_runs_match(turbo, kern.run(*args, execution="fast"))
+
+    def test_extreme_operands(self):
+        """Input and all three weights at -128: each expand pair sums to
+        2**15, the largest a pmaddwd lane can take from int8 operands, and
+        the depthwise and project then see saturated operands."""
+        spec = BottleneckSpec(
+            name="t", hw=7, c_in=16, c_mid=480, c_out=16, kernel=7
+        )
+        kern = FusedBottleneckKernel(spec)
+        args = (
+            np.full((7, 7, 16), -128, np.int8),
+            np.full((16, 480), -128, np.int8),
+            np.full((7, 7, 480), -128, np.int8),
+            np.full((480, 16), -128, np.int8),
             (MULT, quantize_multiplier(0.01), quantize_multiplier(0.03)),
         )
         with fused_calls() as calls:
