@@ -72,6 +72,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.eval.experiments import FLEET_SMOKE  # noqa: E402
+
 TITLE = "Serving — session run_batch vs per-call fast execution"
 DISPATCH_TITLE = "Dispatch — sharded multi-worker serving (open loop)"
 CONTROL_TITLE = "Control plane — priority QoS, live reconfig, autoscaling"
@@ -91,7 +93,7 @@ CHAOS_SEED = 0  # fixed: the storm must poison the same requests every run
 # (moderate single-worker utilization — the regime the M/G/k model is
 # validated in); smoke just replays a 50x shorter trace
 FULL_FLEET = dict(n_requests=100_000, dilation=720.0, window_s=7200.0)
-SMOKE_FLEET = dict(n_requests=2_000, dilation=36_000.0, window_s=21_600.0)
+SMOKE_FLEET = FLEET_SMOKE
 # storm sizing: six replays per run (clean baseline, three storms, one
 # keep_outputs=False determinism rerun, one process-mode rerun), so both
 # modes keep the per-replay wall short; the gates are deterministic — a

@@ -15,8 +15,10 @@ This module computes that composition and solves it with the Eq.-1 solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Literal
+from functools import cached_property
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -88,7 +90,7 @@ class ReceptiveField:
         return start, start + self.size - 1
 
 
-def compose_receptive_field(stages: list[ConvStage]) -> ReceptiveField:
+def compose_receptive_field(stages: Sequence[ConvStage]) -> ReceptiveField:
     """Compose per-stage windows back-to-front (standard RF arithmetic)."""
     if not stages:
         raise PlanError("cannot compose an empty chain")
@@ -106,6 +108,11 @@ class BottleneckSpec:
 
     ``strides`` are the strides of (pointwise-expand, depthwise, pointwise-
     project), matching the paper's three-value strides column.
+
+    The spec is frozen, so its derived geometry (``stages``, extents,
+    byte sizes, ``has_residual``) is computed once, on first use, and
+    kept in the instance.  Equality, hashing and ``repr`` see only the
+    fields; ``dataclasses.replace`` builds a spec that computes afresh.
     """
 
     name: str
@@ -127,20 +134,20 @@ class BottleneckSpec:
         """Same-style padding for the depthwise stage."""
         return (self.kernel - 1) // 2
 
-    @property
-    def stages(self) -> list[ConvStage]:
+    @cached_property
+    def stages(self) -> tuple[ConvStage, ...]:
         s1, s2, s3 = self.strides
-        return [
+        return (
             ConvStage("pw_expand", 1, s1, 0, self.c_mid),
             ConvStage("depthwise", self.kernel, s2, self.padding, self.c_mid),
             ConvStage("pw_project", 1, s3, 0, self.c_out),
-        ]
+        )
 
-    @property
+    @cached_property
     def stride_product(self) -> int:
-        return int(np.prod(self.strides))
+        return math.prod(self.strides)
 
-    @property
+    @cached_property
     def has_residual(self) -> bool:
         """Skip connection exists iff shapes are preserved (MobileNetV2 rule).
 
@@ -154,26 +161,34 @@ class BottleneckSpec:
         )
 
     def spatial_out(self) -> int:
+        return self._spatial_out
+
+    def mid_spatial(self) -> int:
+        """Spatial extent of tensor B/C (after the expand stage)."""
+        return self._mid_spatial
+
+    @cached_property
+    def _spatial_out(self) -> int:
         extent = self.hw
         for st in self.stages:
             extent = st.out_extent(extent)
         return extent
 
-    def mid_spatial(self) -> int:
-        """Spatial extent of tensor B/C (after the expand stage)."""
+    @cached_property
+    def _mid_spatial(self) -> int:
         return self.stages[0].out_extent(self.hw)
 
     # tensor byte sizes (int8) --------------------------------------------
-    @property
+    @cached_property
     def in_bytes(self) -> int:
         return self.hw * self.hw * self.c_in
 
-    @property
+    @cached_property
     def out_bytes(self) -> int:
         p = self.spatial_out()
         return p * p * self.c_out
 
-    @property
+    @cached_property
     def mid_bytes(self) -> int:
         """Size of the expanded tensor B (the tensor fusion eliminates)."""
         m = self.mid_spatial()

@@ -1207,6 +1207,11 @@ def fleet_trial(
     return trace, result, report
 
 
+#: the fleet replay at smoke size: the ~830 req/s mean arrival rate of
+#: the full run, over a 50x shorter trace (CI's fleet smoke and tier-1)
+FLEET_SMOKE = dict(n_requests=2_000, dilation=36_000.0, window_s=21_600.0)
+
+
 def fleet_eval(
     *,
     n_requests: int = 100_000,

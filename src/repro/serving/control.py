@@ -190,8 +190,11 @@ class FleetConfig:
     max_queue_depth: int = 256
     #: deadline for requests whose tenant policy sets none
     default_deadline_s: float = 0.5
-    #: longest the batch former holds a head request for co-batching
-    batch_timeout_s: float = 0.002
+    #: longest the batch former holds a head request for co-batching.
+    #: ``0`` (the default) is work-conserving: an idle worker takes up to
+    #: ``max_batch`` of its chosen tenant's queue at once, and batches
+    #: still form under load because requests queue while workers are busy
+    batch_timeout_s: float = 0.0
     #: batch former discipline: ``"weighted"`` (priority classes, then
     #: weighted stride among the class) or ``"fifo"`` (head-tenant
     #: arrival order, the pre-control-plane behavior)

@@ -447,7 +447,9 @@ class Dispatcher:
         and the other stacked GEMMs at BLAS rate.
     max_batch, max_queue_depth, default_deadline_s, batch_timeout_s:
         Shorthand for the matching :class:`FleetConfig` fields when no
-        ``config`` is given.
+        ``config`` is given.  ``batch_timeout_s`` defaults to ``0``, the
+        work-conserving batch former: a request never waits for company
+        while a worker is idle.
     plan_cache:
         The shared :class:`PlanCache` whose hit/miss statistics the
         dispatcher reports (default: the process-wide cache every
@@ -474,7 +476,7 @@ class Dispatcher:
         max_batch: int = 8,
         max_queue_depth: int = 256,
         default_deadline_s: float = 0.5,
-        batch_timeout_s: float = 0.002,
+        batch_timeout_s: float = 0.0,
         plan_cache: PlanCache | None = None,
         config: FleetConfig | None = None,
         faults: "_faults.FaultPlan | _faults.FaultInjector | None" = None,

@@ -19,7 +19,11 @@ it subscribes to:
 * **QoS-aware batch forming** — a tenant's batch becomes *due* when it
   reaches ``max_batch``, when its oldest request has waited
   ``batch_timeout_s``, or when that request's deadline budget shrinks
-  to the tenant's estimated batch service time.  Among due tenants the
+  to the tenant's estimated batch service time.  The default hold is
+  ``0``, which makes the former work-conserving: every queued tenant is
+  due at once, so an idle worker takes up to ``max_batch`` of its
+  chosen tenant's queue without waiting, and batches form under load
+  from what queued while the workers were busy.  Among due tenants the
   former picks the highest priority class first, then the smallest
   weighted stride pass inside the class (a weight-2 tenant gets ~2x the
   slots of a weight-1 peer), then FIFO arrival.  ``scheduling="fifo"``
@@ -118,8 +122,6 @@ class RequestQueue:
         Full declarative config; overrides ``max_depth``.  The queue is
         a :class:`~repro.serving.control.ConfigSubscriber` — a live
         dispatcher swaps configs via :meth:`apply_config`.
-    now:
-        Clock override for tests (defaults to :func:`time.monotonic`).
     """
 
     def __init__(
@@ -127,7 +129,6 @@ class RequestQueue:
         max_depth: int | None = None,
         *,
         config: FleetConfig | None = None,
-        now: Callable[[], float] = time.monotonic,
     ):
         if config is None:
             config = FleetConfig(
@@ -135,7 +136,6 @@ class RequestQueue:
             )
         config.validate()
         self._config = config
-        self._now = now
         self._items: list[Ticket] = []
         self._cond = threading.Condition()
         self._closed = False
@@ -323,9 +323,12 @@ class RequestQueue:
         request's remaining deadline budget drops to the tenant's
         estimated service time (``service_estimate(tenant)``; ``None``
         while the tenant has no history), or the queue is closed
-        (drain).  Among due tenants the scheduler picks by priority
-        class, then weighted stride pass, then arrival order; the batch
-        is the tenant's oldest ``max_batch`` requests in FIFO order.
+        (drain).  With ``batch_timeout_s == 0`` every queued tenant is
+        due immediately (work-conserving), so this call waits only for
+        the queue to become non-empty.  Among due tenants the scheduler
+        picks by priority class, then weighted stride pass, then arrival
+        order; the batch is the tenant's oldest ``max_batch`` requests
+        in FIFO order.
 
         ``stop`` (checked after every wake) lets the dispatcher retire
         this worker without closing the queue — the autoscaler's shrink
@@ -345,7 +348,7 @@ class RequestQueue:
                     self._cond.wait()
                     continue
                 cfg = self._config
-                now_t = self._now()
+                now_t = time.monotonic()
                 if cfg.scheduling == "fifo":
                     tenant = self._items[0].tenant
                 else:

@@ -5,7 +5,8 @@ depend on the request:
 
 * **plans** — already solved (and cached in the
   :class:`~repro.compiler.cache.PlanCache`) at compile time; the session
-  never re-plans;
+  never re-plans, and validates each segment's plan against its pipeline
+  (geometry and SRAM fit) once, when it opens;
 * **packed weights** — every stage weight is promoted to each GEMM
   operand layout the backend declares once through
   :func:`~repro.kernels.base.cached_pack` at session construction
@@ -18,10 +19,13 @@ depend on the request:
   accounting is a pointer copy yet stays bit-identical to
   ``execution="simulate"``.
 
-What remains per request is exactly the arithmetic: one stacked GEMM per
-stage across the batch.  :meth:`Session.run` serves one request,
-:meth:`Session.run_batch` a whole batch; both return
-:class:`RequestResult`s carrying the output tensor(s) and a
+What remains per request is the arithmetic — one stacked pass per stage
+across the batch, straight through the backend — behind two guards: an
+identity check of the snapshot taken at open (segments, plans, stage
+objects, pipeline geometry, weight shapes and dtypes), and the pack
+cache's content digest of each weight.  :meth:`Session.run` serves one
+request, :meth:`Session.run_batch` a whole batch; both return
+:class:`RequestResult`\\ s carrying the output tensor(s) and a
 :class:`RequestStats` (host latency, queue depth, modeled stage costs).
 """
 
@@ -42,37 +46,55 @@ from repro.serving import faults as _faults
 __all__ = ["RequestStats", "RequestResult", "SessionStats", "Session"]
 
 
-def _model_structure(compiled) -> tuple:
-    """A cheap structural fingerprint of a compiled model.
+@dataclass(frozen=True)
+class _SegmentSnapshot:
+    """One compiled segment as the session validated it at open.
 
-    Captures what the session froze at open time — per-segment stage
-    types, names and weight geometry — so serving after a structural
-    mutation (stages added/removed/re-bound to different shapes) fails
-    loudly instead of silently replaying a stale cost template.  Weight
-    *values* are deliberately excluded: in-place value mutation is legal
-    and handled by ``cached_pack``'s content digest (a re-pack, not an
-    error).
+    The segment is a frozen dataclass, so its identity pins its plan and
+    pipeline object; the stage descriptors are frozen too and are pinned
+    by identity (a stage swapped for an equal-named copy with another
+    stride is caught).  What can still change in place is compared by
+    value: the pipeline's stage list, its input geometry and device, and
+    each weight's shape and dtype.  Weight *values* are deliberately
+    excluded: in-place value mutation is legal and handled by
+    ``cached_pack``'s content digest (a re-pack, not an error).
     """
-    from repro.runtime.pipeline import stage_weight_arrays
 
-    segs = []
-    for seg in compiled.segments:
-        stages = tuple(
-            (
-                type(stage).__name__,
-                getattr(stage, "name", ""),
-                tuple(
-                    (w.shape, str(w.dtype))
-                    for w in stage_weight_arrays(stage)
-                ),
+    segment: object
+    stages: tuple
+    geometry: tuple
+    #: ``(array, shape, dtype)`` per stage weight
+    weights: tuple
+
+    @classmethod
+    def take(cls, segment) -> "_SegmentSnapshot":
+        from repro.runtime.pipeline import stage_weight_arrays
+
+        pipe = segment.pipeline
+        stages = tuple(pipe.stages)
+        return cls(
+            segment=segment,
+            stages=stages,
+            geometry=(pipe.input_hw, pipe.input_c, pipe.device),
+            weights=tuple(
+                (w, w.shape, w.dtype)
+                for stage in stages
+                for w in stage_weight_arrays(stage)
+            ),
+        )
+
+    def holds(self, segment) -> bool:
+        pipe = segment.pipeline
+        return (
+            segment is self.segment
+            and (pipe.input_hw, pipe.input_c, pipe.device) == self.geometry
+            and len(pipe.stages) == len(self.stages)
+            and all(a is b for a, b in zip(pipe.stages, self.stages))
+            and all(
+                w.shape == shape and w.dtype == dtype
+                for w, shape, dtype in self.weights
             )
-            for stage in seg.pipeline.stages
         )
-        segs.append(
-            (seg.lowered.input_name, seg.lowered.output_name,
-             len(seg.plan.stages), stages)
-        )
-    return tuple(segs)
 
 
 @dataclass(frozen=True)
@@ -125,8 +147,12 @@ class Session:
     """A warmed serving handle over one :class:`CompiledModel`.
 
     Build via :meth:`repro.compiler.compile.CompiledModel.serve` (or
-    directly).  Construction performs every amortizable step — template
-    derivation and weight packing — so the first request pays no warm-up.
+    directly).  Construction performs every amortizable step — plan
+    validation, template derivation and weight packing — so the first
+    request pays no warm-up.  Each later call checks the model against
+    the snapshot taken at open by identity (a structural mutation raises
+    :class:`~repro.errors.ServingError`; open a new session instead),
+    then runs the backend's stacked pass.
 
     Parameters
     ----------
@@ -188,10 +214,17 @@ class Session:
                 f"{compiled.device.name} offers "
                 f"{compiled.device.usable_sram_bytes} B usable"
             )
+        #: what this session validated; checked before every dispatch
+        self._snapshot = tuple(
+            _SegmentSnapshot.take(seg) for seg in compiled.segments
+        )
         self.stats = SessionStats()
         stage_names: list[str] = []
         stage_reports: list[CostReport] = []
         for seg in compiled.segments:
+            # the geometry check and SRAM fit, once: every later call is
+            # guarded by the snapshot instead of re-deriving the geometry
+            seg.pipeline._resolve_plan(seg.plan)
             if hasattr(self._backend, "pipeline_template"):
                 # warms the backend's per-plan template cache; the plan
                 # stays alive through compiled.segments, so replay at
@@ -210,8 +243,6 @@ class Session:
         else:
             self._stage_reports = None
             self._report = None
-        #: what this session froze; checked before every dispatch
-        self._structure = _model_structure(compiled)
 
     # ------------------------------------------------------------------ #
     # warm-up
@@ -296,6 +327,7 @@ class Session:
                     f"{graph.inputs}; pass a feeds mapping per request"
                 )
 
+        backend = get_execution_backend(execution or self.execution)
         t0 = time.perf_counter()
         bsz = len(feeds_list)
         per_request_outputs: list[dict[str, np.ndarray]] = [
@@ -313,11 +345,8 @@ class Session:
                         f"request {i}: missing feed for input {name!r}"
                     )
                 xs.append(np.asarray(feeds[name]))
-            results = seg.pipeline.run_batch(
-                xs,
-                plan=seg.plan,
-                strict=strict,
-                execution=execution or self.execution,
+            results = backend.run_pipeline_batch(
+                seg.pipeline, seg.plan, xs, strict=strict
             )
             out_name = seg.lowered.output_name
             spec_shape = graph.tensors[out_name].spec.shape
@@ -340,7 +369,10 @@ class Session:
     # result assembly
     # ------------------------------------------------------------------ #
     def _check_structure(self) -> None:
-        if _model_structure(self.compiled) != self._structure:
+        segments = self.compiled.segments
+        if len(segments) != len(self._snapshot) or not all(
+            snap.holds(seg) for snap, seg in zip(self._snapshot, segments)
+        ):
             raise ServingError(
                 f"compiled model {self.compiled.graph.name!r} was "
                 "structurally mutated after serve(); the session's frozen "

@@ -1,5 +1,9 @@
 """Tests for receptive-field composition and the fused-block planner."""
 
+import sys
+import threading
+from dataclasses import replace
+
 import pytest
 
 from repro.core.multilayer import (
@@ -9,6 +13,47 @@ from repro.core.multilayer import (
     compose_receptive_field,
 )
 from repro.errors import PlanError
+from repro.graph.models import table2_specs
+
+TABLE2 = table2_specs("vww") + table2_specs("imagenet")
+
+
+def fresh_geometry(spec: BottleneckSpec) -> dict:
+    """Every derived value of ``spec``, recomputed from its fields alone."""
+    s1, s2, s3 = spec.strides
+    stages = (
+        ConvStage("pw_expand", 1, s1, 0, spec.c_mid),
+        ConvStage("depthwise", spec.kernel, s2, (spec.kernel - 1) // 2,
+                  spec.c_mid),
+        ConvStage("pw_project", 1, s3, 0, spec.c_out),
+    )
+    mid = stages[0].out_extent(spec.hw)
+    out = stages[2].out_extent(stages[1].out_extent(mid))
+    return dict(
+        stages=stages,
+        mid_spatial=mid,
+        spatial_out=out,
+        stride_product=s1 * s2 * s3,
+        has_residual=(
+            s1 * s2 * s3 == 1 and spec.c_in == spec.c_out and out == spec.hw
+        ),
+        in_bytes=spec.hw * spec.hw * spec.c_in,
+        mid_bytes=mid * mid * spec.c_mid,
+        out_bytes=out * out * spec.c_out,
+    )
+
+
+def stored_geometry(spec: BottleneckSpec) -> dict:
+    return dict(
+        stages=spec.stages,
+        mid_spatial=spec.mid_spatial(),
+        spatial_out=spec.spatial_out(),
+        stride_product=spec.stride_product,
+        has_residual=spec.has_residual,
+        in_bytes=spec.in_bytes,
+        mid_bytes=spec.mid_bytes,
+        out_bytes=spec.out_bytes,
+    )
 
 
 class TestConvStage:
@@ -95,6 +140,60 @@ class TestBottleneckSpec:
             BottleneckSpec("t", 0, 8, 16, 8, 3, (1, 1, 1))
         with pytest.raises(PlanError):
             BottleneckSpec("t", 8, 8, 16, 8, 3, (1, 1))
+
+
+class TestBottleneckSpecGeometry:
+    """The derived geometry is computed once and never leaks into identity."""
+
+    @pytest.mark.parametrize("spec", TABLE2, ids=lambda s: s.name)
+    def test_stored_geometry_matches_fresh_recomputation(self, spec):
+        assert stored_geometry(spec) == fresh_geometry(spec)
+        assert isinstance(spec.stages, tuple)
+        assert spec.stages is spec.stages  # stored, not rebuilt per read
+
+    @pytest.mark.parametrize("spec", TABLE2, ids=lambda s: s.name)
+    def test_replace_recomputes(self, spec):
+        stored_geometry(spec)
+        for changed in (
+            replace(spec, hw=2 * spec.hw),
+            replace(spec, c_out=2 * spec.c_out),
+            replace(spec, kernel=spec.kernel + 2),
+        ):
+            assert stored_geometry(changed) == fresh_geometry(changed)
+            assert stored_geometry(spec) == fresh_geometry(spec)
+
+    @pytest.mark.parametrize("spec", TABLE2, ids=lambda s: s.name)
+    def test_equality_hash_and_repr_ignore_stored_geometry(self, spec):
+        cold = replace(spec)  # same fields, nothing derived yet
+        stored_geometry(spec)
+        assert spec == cold
+        assert hash(spec) == hash(cold)
+        assert repr(spec) == repr(cold)
+        assert stored_geometry(cold) == stored_geometry(spec)
+
+    def test_concurrent_first_reads_agree(self):
+        # serving threads may be the first to read a spec's geometry
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for spec in TABLE2:
+                cold = replace(spec)
+                seen = []
+                threads = [
+                    threading.Thread(
+                        target=lambda: seen.append(stored_geometry(cold))
+                    )
+                    for _ in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(10.0)
+                assert not any(t.is_alive() for t in threads)
+                assert len(seen) == 8
+                assert all(g == fresh_geometry(spec) for g in seen)
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestInvertedBottleneckPlanner:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.eval.experiments import (
     ALL_EXPERIMENTS,
+    FLEET_SMOKE,
     compiled_networks,
     figure7,
     figure8,
@@ -31,10 +32,15 @@ class TestWorkloads:
         assert c.macs == 80 * 80 * 16 * 16
 
 
+#: experiments whose default size belongs to ``benchmarks/``; these
+#: tests run them at the size CI's smoke jobs use
+SMOKE_SIZES = {"fleet": FLEET_SMOKE}
+
+
 class TestDrivers:
     @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
     def test_every_experiment_runs_and_renders(self, name):
-        headers, rows, notes = ALL_EXPERIMENTS[name]()
+        headers, rows, notes = ALL_EXPERIMENTS[name](**SMOKE_SIZES.get(name, {}))
         assert headers and rows
         text = render_experiment(name, (headers, rows, notes))
         assert name in text

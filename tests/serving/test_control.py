@@ -263,6 +263,12 @@ class TestLiveReconfiguration:
             assert d.config.min_workers == d.config.max_workers == 2
             assert d.max_batch == 3
 
+    def test_batch_former_is_work_conserving_by_default(self, compiled_cls):
+        assert FleetConfig().batch_timeout_s == 0.0
+        with Dispatcher(compiled_cls, workers=1) as d:
+            assert d.batch_timeout_s == 0.0
+            assert d.config.batch_timeout_s == 0.0
+
     def test_config_max_batch_above_kwarg_default_serves(self, compiled_cls):
         # regression: sessions must accept batches as large as the
         # config's max_batch, not just the constructor kwarg's default

@@ -81,6 +81,52 @@ class TestStructuralMutation:
         with pytest.raises(ServingError, match="new session"):
             session.run(random_int8(rng, (20, 20, 16)))
 
+    def test_stage_swapped_for_restrided_copy(self):
+        # same type, name and weight arrays: only the stage object differs
+        compiled = fresh_compiled()
+        session = compiled.serve()
+        rng = np.random.default_rng(5)
+        x = random_int8(rng, (20, 20, 16))
+        session.run(x)
+        pipe = compiled.segments[0].pipeline
+        i = next(
+            i for i, st in enumerate(pipe.stages) if st.name == "transition3"
+        )
+        assert pipe.stages[i].stride == 1
+        pipe.stages[i] = replace(pipe.stages[i], stride=2)
+        with pytest.raises(ServingError, match="mutated after serve"):
+            session.run_batch([x])
+
+    def test_pipeline_input_geometry_changed(self):
+        compiled = fresh_compiled()
+        session = compiled.serve()
+        rng = np.random.default_rng(6)
+        x = random_int8(rng, (20, 20, 16))
+        session.run(x)
+        pipe = compiled.segments[0].pipeline
+        pipe.input_hw = 2 * pipe.input_hw
+        with pytest.raises(ServingError, match="new session"):
+            session.run_batch([x])
+
+    def test_plan_validated_once_at_open(self, monkeypatch):
+        from repro.runtime.pipeline import Pipeline
+
+        calls = []
+        resolve = Pipeline._resolve_plan
+
+        def counted(self, plan):
+            calls.append(plan)
+            return resolve(self, plan)
+
+        monkeypatch.setattr(Pipeline, "_resolve_plan", counted)
+        compiled = fresh_compiled()
+        session = compiled.serve()
+        assert calls == [seg.plan for seg in compiled.segments]
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            session.run(random_int8(rng, (20, 20, 16)))
+        assert len(calls) == len(compiled.segments)
+
     def test_in_place_value_mutation_stays_legal_and_bit_exact(self):
         compiled = fresh_compiled()
         session = compiled.serve()
