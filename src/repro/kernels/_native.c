@@ -2,10 +2,18 @@
  *
  * Compiled once per host by repro.kernels.native and called through
  * ctypes, which releases the GIL for the length of each call.  Every
- * function is pure over its arguments: no static or global state, and the
- * caller passes every scratch buffer, so concurrent serving threads never
- * share anything but read-only inputs.  The Python wrappers validate
- * shapes, dtypes and contiguity before passing pointers.
+ * function is pure over its arguments: no static or global state, and
+ * every leaf allocates its own scratch and frees it before returning, so
+ * concurrent serving threads never share anything but read-only inputs.
+ * An entry that cannot allocate its scratch returns nonzero and writes
+ * nothing more.  The Python wrappers validate shapes, dtypes and
+ * contiguity before passing pointers.
+ *
+ * A pipeline stage is described by one row of int64 fields (F_* below:
+ * its kind, geometry, requantize multipliers and the addresses of its
+ * packed weights).  vmcu_segment walks a table of such rows, so a whole
+ * segment of a compiled model runs in one call, and a lone stage is a
+ * one-row table.
  *
  * Every multiply-accumulate runs the way the paper's kernels run it on the
  * MCU with SMLAD: int8 operands widened to int16 pairs, two products added
@@ -24,6 +32,7 @@
  */
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* The build target's predefined macros pick one pmaddwd: AVX-512BW (the
@@ -261,22 +270,46 @@ static void dw_row(const int16_t *ring, int64_t slot, const int16_t *w,
     }
 }
 
+/* The tap loop's scratch for q outputs per row at the given stride over
+ * wd-pixel rows of cpad lanes: the zero-bordered row erow[max(ns + 1,
+ * pad + wd), cpad] (input pixel x at erow[pad + x]) and the ring of k
+ * paired rows ring[k, ns, cpad, 2], ns = paired_width(q, stride, k).
+ * NULL members when an allocation failed; taps_free releases both. */
+typedef struct {
+    int16_t *erow, *ring;
+} taps_t;
+
+static taps_t taps_alloc(int32_t k, int32_t stride, int32_t pad, int32_t q,
+                         int32_t wd, int32_t cpad) {
+    const int32_t ns = paired_width(q, stride, k);
+    const int32_t rows = ns + 1 > pad + wd ? ns + 1 : pad + wd;
+    taps_t t = {calloc((size_t)rows * cpad, sizeof(int16_t)),
+                malloc((size_t)k * ns * 2 * cpad * sizeof(int16_t))};
+    return t;
+}
+
+static void taps_free(taps_t t) {
+    free(t.erow);
+    free(t.ring);
+}
+
 /* Depthwise k x k convolution of NHWC int8 x[B, H, W, C] with the paired
  * weights w[k, ceil(k/2), PADDED(C), 2] into out[B, P, Q, C] at the given
  * stride and zero padding.  Each input row is widened once into the
- * zero-bordered row erow[max(ns + 1, pad + W), PADDED(C)] and paired into
- * the ring ring[k, ns, PADDED(C), 2], ns = paired_width(Q, stride, k);
- * acc[Q, PADDED(C)] holds one output row's accumulators until its flat
- * requantize. */
-void vmcu_depthwise(const int8_t *x, const int16_t *w, int8_t *out,
-                    int16_t *erow, int16_t *ring, int32_t *acc,
-                    int32_t batch, int32_t h, int32_t wd, int32_t c,
-                    int32_t k, int32_t stride, int32_t pad, int32_t p,
-                    int32_t q, int32_t mult, int32_t shift) {
+ * bordered row and paired into the ring (taps_alloc); one row of
+ * accumulators acc[Q, PADDED(C)] waits for its flat requantize. */
+int32_t vmcu_depthwise(const int8_t *x, const int16_t *w, int8_t *out,
+                       int32_t batch, int32_t h, int32_t wd, int32_t c,
+                       int32_t k, int32_t stride, int32_t pad, int32_t p,
+                       int32_t q, int32_t mult, int32_t shift) {
     const int32_t cp = PADDED(c), ns = paired_width(q, stride, k);
     const int64_t slot = (int64_t)ns * 2 * cp;
     const rq_t rq = rq_make(mult, shift);
-    for (int32_t b = 0; b < batch; ++b) {
+    const taps_t taps = taps_alloc(k, stride, pad, q, wd, cp);
+    int16_t *erow = taps.erow, *ring = taps.ring;
+    int32_t *acc = malloc((size_t)q * cp * sizeof *acc);
+    const int32_t err = !erow || !ring || !acc;
+    for (int32_t b = 0; b < batch && !err; ++b) {
         int32_t next = 0; /* first input row not yet in the ring */
         for (int32_t i = 0; i < p; ++i) {
             /* the window's rows [r0, r0 + k) clipped to the input; rows
@@ -295,6 +328,9 @@ void vmcu_depthwise(const int8_t *x, const int16_t *w, int8_t *out,
                       out + ((int64_t)b * p + i) * q * c, rq);
         }
     }
+    taps_free(taps);
+    free(acc);
+    return err;
 }
 
 /* int32 lanes per vector of this build: 16 under AVX-512BW, 8 under AVX2,
@@ -302,7 +338,7 @@ void vmcu_depthwise(const int8_t *x, const int16_t *w, int8_t *out,
 int32_t vmcu_lanes(void) { return LANES; }
 
 /* ------------------------------------------------------------------------ */
-/* the fused inverted bottleneck                                             */
+/* pointwise GEMM rows                                                        */
 /* ------------------------------------------------------------------------ */
 
 /* Pointwise GEMM over n pixels of int16 input rows ldi apart: out[j][0:
@@ -361,36 +397,155 @@ static void pw_rows(const int16_t *in, int64_t ldi, const int16_t *w,
     }
 }
 
-/* A whole inverted-bottleneck block, one output row at a time, the way
- * the paper's fused kernel streams it: pointwise expand (stride s1),
- * k x k depthwise at the composite stride s2*s3, pointwise project, each
- * requantized, plus the saturating residual add when `residual` is set
- * (then H == P and c_in == c_out).
+/* ------------------------------------------------------------------------ */
+/* stage rows                                                                */
+/* ------------------------------------------------------------------------ */
+
+/* The int64 fields of one stage row, in native.py's _STAGE_FIELDS order.
+ * Every stage reads int8 x[B, H, W, C_IN].  A pointwise stage (a dense
+ * head is one over [B, M, 1, K]) keeps every STRIDE-th pixel into [B, P,
+ * Q, C_OUT].  A bottleneck's input is square; its expand keeps every
+ * S1-th pixel, onto HB x HB pixels of C_MID channels, its K x K depthwise
+ * runs at the composite stride STRIDE with padding PAD onto P x P, and
+ * RESIDUAL adds the skip connection.  An average pool sums the H x W
+ * pixels into [B, C_IN].  M0..SH2 are requantize multipliers and shifts
+ * in stage order, W0..W2 the addresses of the pack_i16_pairs weights. */
+enum {
+    F_KIND, F_H, F_W, F_C_IN, F_C_MID, F_C_OUT, F_K, F_S1, F_STRIDE, F_PAD,
+    F_HB, F_P, F_Q, F_RESIDUAL, F_M0, F_SH0, F_M1, F_SH1, F_M2, F_SH2,
+    F_W0, F_W1, F_W2, STAGE_FIELDS
+};
+enum { STAGE_POINTWISE, STAGE_BOTTLENECK, STAGE_AVGPOOL };
+
+/* fields per stage row; native.py checks it when it loads the library */
+int32_t vmcu_stage_fields(void) { return STAGE_FIELDS; }
+
+static inline int32_t field(const int64_t *d, int f) { return (int32_t)d[f]; }
+
+static inline const int16_t *weights_at(const int64_t *d, int f) {
+    return (const int16_t *)(intptr_t)d[f];
+}
+
+/* the multiplier at field f and its shift at f + 1 */
+static inline rq_t rq_at(const int64_t *d, int f) {
+    return rq_make(field(d, f), field(d, f + 1));
+}
+
+/* ------------------------------------------------------------------------ */
+/* pointwise, dense and average pool                                         */
+/* ------------------------------------------------------------------------ */
+
+/* pixels widened, multiplied and requantized per pass of pw_pixels */
+#define CHUNK 64
+
+/* requantize(x . w) for n pixels of c_in int8 channels, sstride apart,
+ * into n packed c_out-channel pixels, CHUNK pixels at a time through
+ * xbuf[CHUNK, c_in rounded up to even] (its odd column zeroed) and
+ * acc[CHUNK, PADDED(c_out)]. */
+static void pw_pixels(const int8_t *x, int64_t sstride, int64_t n,
+                      int32_t c_in, const int16_t *w, int32_t c_out, rq_t q,
+                      int8_t *out, int16_t *xbuf, int32_t *acc) {
+    const int32_t ci = (c_in + 1) / 2 * 2, co = PADDED(c_out);
+    for (int64_t j = 0; j < n; j += CHUNK) {
+        const int32_t m = n - j < CHUNK ? (int32_t)(n - j) : CHUNK;
+        widen(x + j * sstride, sstride, xbuf, ci, m, c_in);
+        pw_rows(xbuf, ci, w, acc, m, ci / 2, co);
+        rq_pixels(acc, co, c_out, m, NULL, out + j * c_out, q);
+    }
+}
+
+/* A pointwise stage: x[B, H, W, C_IN] -> out[B, P, Q, C_OUT] with the
+ * weights W0 = w[ceil(C_IN/2), PADDED(C_OUT), 2]. */
+static int32_t pointwise(const int64_t *d, int32_t batch, const int8_t *x,
+                         int8_t *out) {
+    const int32_t h = field(d, F_H), wd = field(d, F_W);
+    const int32_t c_in = field(d, F_C_IN), c_out = field(d, F_C_OUT);
+    const int32_t st = field(d, F_STRIDE), p = field(d, F_P);
+    const int32_t q = field(d, F_Q), ci = (c_in + 1) / 2 * 2;
+    const int16_t *w = weights_at(d, F_W0);
+    const rq_t rq = rq_at(d, F_M0);
+    int16_t *xbuf = calloc((size_t)CHUNK * ci, sizeof *xbuf);
+    int32_t *acc = malloc((size_t)CHUNK * PADDED(c_out) * sizeof *acc);
+    const int32_t err = !xbuf || !acc;
+    if (!err && st == 1) {
+        /* every pixel, in order: one run over the whole batch */
+        pw_pixels(x, c_in, (int64_t)batch * h * wd, c_in, w, c_out, rq, out,
+                  xbuf, acc);
+    } else if (!err) {
+        for (int32_t b = 0; b < batch; ++b)
+            for (int32_t i = 0; i < p; ++i)
+                pw_pixels(x + ((int64_t)b * h + (int64_t)i * st) * wd * c_in,
+                          (int64_t)st * c_in, q, c_in, w, c_out, rq,
+                          out + ((int64_t)b * p + i) * q * c_out, xbuf, acc);
+    }
+    free(xbuf);
+    free(acc);
+    return err;
+}
+
+/* An average-pool stage: x[B, H, W, C_IN] -> out[B, C_IN], the
+ * requantized int32 sum over every pixel (the multiplier folds in the
+ * averaging).  The sums wrap modulo 2**32, as NumPy's int32 sum does. */
+static int32_t avgpool(const int64_t *d, int32_t batch, const int8_t *x,
+                       int8_t *out) {
+    const int64_t n = d[F_H] * d[F_W];
+    const int32_t c = field(d, F_C_IN);
+    const rq_t rq = rq_at(d, F_M0);
+    uint32_t *acc = malloc((size_t)c * sizeof *acc);
+    if (!acc) return 1;
+    for (int32_t b = 0; b < batch; ++b) {
+        const int8_t *xb = x + b * n * c;
+        memset(acc, 0, (size_t)c * sizeof *acc);
+        for (int64_t s = 0; s < n; ++s)
+            for (int32_t t = 0; t < c; ++t)
+                acc[t] += (uint32_t)(int32_t)xb[s * c + t];
+        rq_store((const int32_t *)acc, NULL, out + (int64_t)b * c, c, rq);
+    }
+    free(acc);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------ */
+/* the fused inverted bottleneck                                             */
+/* ------------------------------------------------------------------------ */
+
+/* A bottleneck stage: the whole inverted-bottleneck block, one output row
+ * at a time, the way the paper's fused kernel streams it: pointwise
+ * expand, depthwise, pointwise project, each requantized (M0, M1, M2),
+ * plus the saturating residual add when RESIDUAL is set (then H == P and
+ * C_IN == C_OUT).
  *
- * x[B, H, H, c_in] -> out[B, P, P, c_out]; hb = (H - 1) / s1 + 1 is the
- * expanded extent.  Weights are int16 pairs: we[ceil(c_in/2),
- * PADDED(c_mid), 2], wdw[k, ceil(k/2), PADDED(c_mid), 2] and
- * wp[ceil(c_mid/2), PADDED(c_out), 2].  Scratch: xrow[hb, c_in rounded up
- * to even] (its odd column zeroed), erow and ring as in vmcu_depthwise
- * over hb expanded pixels of PADDED(c_mid) lanes (the ring is the only
- * part of the expanded tensor ever held: expanded row r in slot r % k,
- * computed once), drow[P, PADDED(c_mid)], the project's input row, and
- * acc[hb, max(PADDED(c_mid), PADDED(c_out))] for the raw sums of each
- * stage in turn. */
-void vmcu_bottleneck(const int8_t *x, int8_t *out, const int16_t *we,
-                     const int16_t *wdw, const int16_t *wp, int16_t *xrow,
-                     int16_t *erow, int16_t *ring, int16_t *drow,
-                     int32_t *acc, int32_t batch, int32_t h, int32_t c_in,
-                     int32_t c_mid, int32_t c_out, int32_t k, int32_t s1,
-                     int32_t stride, int32_t pad, int32_t hb, int32_t p,
-                     int32_t residual, int32_t m1, int32_t sh1, int32_t mdw,
-                     int32_t shdw, int32_t m2, int32_t sh2) {
+ * x[B, H, H, C_IN] -> out[B, P, P, C_OUT]; HB = (H - 1) / S1 + 1.  Weights
+ * are int16 pairs: W0 = we[ceil(C_IN/2), PADDED(C_MID), 2], W1 = wdw[K,
+ * ceil(K/2), PADDED(C_MID), 2] and W2 = wp[ceil(C_MID/2), PADDED(C_OUT),
+ * 2].  Scratch: one widened input row xrow[HB, C_IN rounded up to even]
+ * (its odd column zeroed), the tap loop's bordered row and ring over HB
+ * expanded pixels of PADDED(C_MID) lanes (the ring is the only part of
+ * the expanded tensor ever held: expanded row r in slot r % K, computed
+ * once), drow[P, PADDED(C_MID)], the project's input row, and acc[HB,
+ * max(PADDED(C_MID), PADDED(C_OUT))] for the raw sums of each stage in
+ * turn. */
+static int32_t bottleneck(const int64_t *d, int32_t batch, const int8_t *x,
+                          int8_t *out) {
+    const int32_t h = field(d, F_H), c_in = field(d, F_C_IN);
+    const int32_t c_mid = field(d, F_C_MID), c_out = field(d, F_C_OUT);
+    const int32_t k = field(d, F_K), s1 = field(d, F_S1);
+    const int32_t stride = field(d, F_STRIDE), pad = field(d, F_PAD);
+    const int32_t hb = field(d, F_HB), p = field(d, F_P);
+    const int32_t residual = field(d, F_RESIDUAL);
+    const int16_t *we = weights_at(d, F_W0), *wdw = weights_at(d, F_W1),
+                  *wp = weights_at(d, F_W2);
     const int32_t cm = PADDED(c_mid), co = PADDED(c_out);
     const int32_t ci = (c_in + 1) / 2 * 2, ns = paired_width(p, stride, k);
     const int64_t slot = (int64_t)ns * 2 * cm;
-    const rq_t q1 = rq_make(m1, sh1), qd = rq_make(mdw, shdw),
-               q2 = rq_make(m2, sh2);
-    for (int32_t b = 0; b < batch; ++b) {
+    const rq_t q1 = rq_at(d, F_M0), qd = rq_at(d, F_M1), q2 = rq_at(d, F_M2);
+    const taps_t taps = taps_alloc(k, stride, pad, p, hb, cm);
+    int16_t *erow = taps.erow, *ring = taps.ring;
+    int16_t *xrow = calloc((size_t)hb * ci, sizeof *xrow);
+    int16_t *drow = malloc((size_t)p * cm * sizeof *drow);
+    int32_t *acc = malloc((size_t)hb * (cm > co ? cm : co) * sizeof *acc);
+    const int32_t err = !erow || !ring || !xrow || !drow || !acc;
+    for (int32_t b = 0; b < batch && !err; ++b) {
         const int8_t *xb = x + (int64_t)b * h * h * c_in;
         int32_t next = 0; /* first expanded row not yet in the ring */
         for (int32_t i = 0; i < p; ++i) {
@@ -412,4 +567,38 @@ void vmcu_bottleneck(const int8_t *x, int8_t *out, const int16_t *we,
                       out + ((int64_t)b * p + i) * p * c_out, q2);
         }
     }
+    taps_free(taps);
+    free(xrow);
+    free(drow);
+    free(acc);
+    return err;
+}
+
+/* ------------------------------------------------------------------------ */
+/* entries                                                                   */
+/* ------------------------------------------------------------------------ */
+
+/* A whole segment: the n stage rows d[n][STAGE_FIELDS] in order over the
+ * batch, stage i writing outs[i] and reading outs[i - 1] (stage 0 reads
+ * x).  Returns nonzero, leaving the later outputs unwritten, if a stage
+ * could not allocate its scratch or a row names no stage kind. */
+int32_t vmcu_segment(const int64_t *d, int32_t n, int32_t batch,
+                     const int8_t *x, int8_t *const *outs) {
+    for (int32_t i = 0; i < n; ++i, d += STAGE_FIELDS) {
+        int32_t err = 1;
+        switch (d[F_KIND]) {
+        case STAGE_POINTWISE:
+            err = pointwise(d, batch, x, outs[i]);
+            break;
+        case STAGE_BOTTLENECK:
+            err = bottleneck(d, batch, x, outs[i]);
+            break;
+        case STAGE_AVGPOOL:
+            err = avgpool(d, batch, x, outs[i]);
+            break;
+        }
+        if (err) return err;
+        x = outs[i];
+    }
+    return 0;
 }

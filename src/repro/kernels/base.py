@@ -85,10 +85,10 @@ class ExecutionBackend:
     ``"fast"`` (vectorized im2col + int32-GEMM NumPy execution with the pool
     traffic and profiler costs derived analytically from the plan, and
     stacked batches with per-plan cost-template replay for serving) and
-    ``"turbo"`` (``"fast"`` with exact float64 BLAS arithmetic).  All
-    produce bit-identical outputs and cost reports; the latter two trade
-    the per-segment race auditing for orders-of-magnitude lower wall
-    clock.
+    ``"turbo"`` (``"fast"`` with native int16-pair leaves, a whole
+    segment per call).  All produce bit-identical outputs and cost
+    reports; the latter two trade the per-segment race auditing for
+    orders-of-magnitude lower wall clock.
 
     A backend implements one method per kernel family, each returning a
     :class:`KernelRun`, plus :meth:`run_pipeline` for whole-chain execution
@@ -120,6 +120,17 @@ class ExecutionBackend:
 
     def run_pipeline(self, pipeline, plan, x, *, strict=True):
         raise NotImplementedError
+
+    def bind(self, pipeline, plan):
+        """Per-segment state for :meth:`run_pipeline_batch`, or ``None``.
+
+        A caller that serves ``pipeline`` under ``plan`` many times (a
+        :class:`~repro.serving.Session`) binds once and passes the result
+        as ``binding=`` on every call, holding it no longer than the
+        pipeline.  ``None`` means the backend binds nothing; pass no
+        ``binding`` then.
+        """
+        return None
 
     def run_pipeline_batch(self, pipeline, plan, xs, *, strict=True):
         """Run many inputs against one plan; returns one result per input.
@@ -273,7 +284,8 @@ def pack_i32(w: np.ndarray, seg: int) -> np.ndarray:
 def pack_f64(w: np.ndarray, seg: int) -> np.ndarray:
     """Promote int8 weights to the float64 BLAS GEMM operand.
 
-    Used by the ``"turbo"`` backend: int8 values are exactly
+    Used by the ``"turbo"`` backend's BLAS GEMM (conv2d, and every GEMM
+    on a host without its native leaves): int8 values are exactly
     representable in a double, so the float64 GEMM it feeds is exact
     integer arithmetic (see :mod:`repro.kernels.turbo` for the overflow
     bound).  Same cache contract as :func:`pack_i32`.

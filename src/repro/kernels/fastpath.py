@@ -223,6 +223,26 @@ def _i32(w: np.ndarray) -> np.ndarray:
     return cached_pack(w, 0, pack_i32)
 
 
+def _check_batch(kern, xb: np.ndarray) -> None:
+    """``xb`` must stack ``[kern.h, kern.w, kern.c]`` inputs."""
+    if xb.shape[1:] != (kern.h, kern.w, kern.c):
+        raise ShapeError(
+            f"batch must be int8[B,{kern.h},{kern.w},{kern.c}], "
+            f"got {xb.shape}"
+        )
+
+
+def _dense_batch_input(kern, xb: np.ndarray) -> np.ndarray:
+    """``xb`` as ``[B, kern.m, kern.k]``: each request's dense input rows."""
+    x3 = xb.reshape(xb.shape[0], kern.m, -1)
+    if x3.shape[2] != kern.k:
+        raise ShapeError(
+            f"batch must flatten to int8[B,{kern.m},{kern.k}], "
+            f"got {xb.shape}"
+        )
+    return x3
+
+
 def _check_bottleneck_batch(spec, xb: np.ndarray) -> None:
     if xb.shape[1:] != (spec.hw, spec.hw, spec.c_in):
         raise ShapeError(
@@ -264,12 +284,12 @@ class FastBackend(ExecutionBackend):
     # the bits.
     #
     # The three arithmetic leaves — the stacked GEMM, the requantize and
-    # the depthwise taps — are overridable hooks so a backend can swap
-    # the *implementation* (the "turbo" backend routes them through an
-    # exact float64 BLAS GEMM and native fused requantize/depthwise
-    # leaves, and replaces _bottleneck_batch whole with one native fused
-    # pass where the host builds it) without duplicating any of the
-    # stage structure; the NumPy bodies here are the reference
+    # the depthwise taps — and the stage helpers are overridable hooks so
+    # a backend can swap the *implementation* (the "turbo" backend runs
+    # the stage helpers, and its stacked pass as one call over a stage
+    # table, in native leaves where the host builds them, and otherwise
+    # routes the three leaves through an exact float64 BLAS GEMM and
+    # requantize_fast); the NumPy bodies here are the reference
     # arithmetic every override is property-tested against.
     def _gemm(
         self, x2d: np.ndarray, w: np.ndarray,
@@ -325,11 +345,7 @@ class FastBackend(ExecutionBackend):
 
     def _pointwise_batch(self, kern, xb, w, mult):
         bsz = xb.shape[0]
-        if xb.shape[1:] != (kern.h, kern.w, kern.c):
-            raise ShapeError(
-                f"batch must be int8[B,{kern.h},{kern.w},{kern.c}], "
-                f"got {xb.shape}"
-            )
+        _check_batch(kern, xb)
         st = kern.stride
         xs = xb[:, ::st, ::st, :]
         acc = self._gemm(xs.reshape(bsz * kern.p * kern.q, kern.c), w)
@@ -364,22 +380,13 @@ class FastBackend(ExecutionBackend):
         )
 
     def _avgpool_batch(self, kern, xb, mult):
-        if xb.shape[1:] != (kern.h, kern.w, kern.c):
-            raise ShapeError(
-                f"batch must be int8[B,{kern.h},{kern.w},{kern.c}], "
-                f"got {xb.shape}"
-            )
+        _check_batch(kern, xb)
         acc = xb.astype(np.int32).sum(axis=(1, 2), dtype=np.int32)
         return self._requant(acc, mult)
 
     def _dense_batch(self, kern, xb, w, mult):
         bsz = xb.shape[0]
-        x2 = xb.reshape(bsz * kern.m, -1)
-        if x2.shape != (bsz * kern.m, kern.k):
-            raise ShapeError(
-                f"batch must flatten to int8[B,{kern.m},{kern.k}], "
-                f"got {xb.shape}"
-            )
+        x2 = _dense_batch_input(kern, xb).reshape(bsz * kern.m, kern.k)
         out = self._requant(self._gemm(x2, w), mult)
         # keep the runtime's [M, N] row convention per request
         return out.reshape(bsz, kern.m, kern.n)
@@ -864,7 +871,7 @@ class FastBackend(ExecutionBackend):
 
         One dry :meth:`run_pipeline` on a zero input performs exactly the
         analytic event generation the template must capture; its numeric
-        half runs on this backend's arithmetic (BLAS for ``"turbo"``) and
+        half runs on this backend's per-stage arithmetic and
         is the one-time price of not duplicating the event code.
         """
 
@@ -881,8 +888,14 @@ class FastBackend(ExecutionBackend):
 
         return cached_template(plan, pipeline.device.name, derive)
 
-    def _run_stacked(self, pipeline, plan, xb) -> list[np.ndarray]:
-        """One stacked pass; returns each stage's ``[B, *single_shape]``."""
+    def _run_stacked(
+        self, pipeline, plan, xb, binding=None
+    ) -> list[np.ndarray]:
+        """One stacked pass; returns each stage's ``[B, *single_shape]``.
+
+        ``binding`` is what :meth:`bind` returned for this segment; this
+        backend binds nothing.
+        """
         from repro.runtime.pipeline import (
             BottleneckStage,
             DenseStage,
@@ -915,14 +928,19 @@ class FastBackend(ExecutionBackend):
             acts.append(act)
         return acts
 
-    def run_pipeline_batch(self, pipeline, plan, xs, *, strict=True):
+    def run_pipeline_batch(
+        self, pipeline, plan, xs, *, strict=True, binding=None
+    ):
         """Run ``xs`` through the chain as one stacked pass per stage.
 
         Returns one :class:`~repro.runtime.pipeline.PipelineResult` per
         request: per-stage outputs are views into the stacked activations,
         per-stage reports are the shared cost template's (bit-identical to
         a per-request simulate/fast run), and each request carries its own
-        copy of the template's cumulative pool statistics.
+        copy of the template's cumulative pool statistics.  ``binding`` is
+        what :meth:`bind` returned for ``pipeline`` and ``plan``, held by
+        the caller across calls; the caller must pass the same pipeline
+        and stage objects it was bound from.
         """
         from repro.runtime.pipeline import PipelineResult
 
@@ -940,7 +958,7 @@ class FastBackend(ExecutionBackend):
                     "a batch must be uniformly shaped"
                 )
         template = self.pipeline_template(pipeline, plan)
-        acts = self._run_stacked(pipeline, plan, np.stack(xs))
+        acts = self._run_stacked(pipeline, plan, np.stack(xs), binding)
 
         results = []
         for i in range(len(xs)):

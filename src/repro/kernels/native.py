@@ -4,18 +4,31 @@ Profiling the serving path put most of its kernel time in the inverted
 bottlenecks: whole-tensor NumPy/BLAS passes that materialize the
 expanded tensor (at float64) between the expand, depthwise and project
 stages.  The paper's fused kernel streams the block row by row instead;
-``_native.c`` does the same on the host:
+``_native.c`` does the same on the host, and runs every other pipeline
+stage too, so a whole segment of a compiled model is one call:
 
-* ``vmcu_bottleneck`` — a whole bottleneck block in one pass per output
-  row: pointwise expand, ``k x k`` depthwise at the composite stride
+* ``vmcu_segment`` — the stages of a segment in order over a batch, from
+  a table of stage rows (:class:`SegmentTable`: each stage's kind,
+  geometry, requantize multipliers and the addresses of its packed
+  weights), each stage writing its own output array; a single stage is
+  a one-row table.  The rows come from :func:`pointwise_stage`,
+  :func:`dense_stage`, :func:`bottleneck_stage` and
+  :func:`avgpool_stage`; their layout is private to this module and the
+  C source, which checks it when the library loads.  A bottleneck row
+  runs pointwise expand, ``k x k`` depthwise at the composite stride
   ``s2*s3`` over zero-bordered rows, pointwise project, every requantize
-  and the saturating residual add.  Only a ``k``-row ring of the
-  expanded tensor and one row of accumulators are ever held;
+  and the saturating residual add, holding only a ``k``-row ring of the
+  expanded tensor and one row of accumulators; a pointwise or dense row
+  runs int16-pair GEMM rows over strided pixels, 64 pixels at a time,
+  with the requantize fused in;
 * ``vmcu_requant_i32`` / ``vmcu_requant_f64`` — the exact gemmlowp
   requantize in one pass over int32 or float64-held accumulators, with the
   bottleneck's saturating residual add optionally fused in;
 * ``vmcu_depthwise`` — the standalone depthwise convolution, on the same
   tap loop and requantize as the bottleneck.
+
+Every entry allocates its own scratch, so concurrent callers share only
+read-only inputs.
 
 Their multiply-accumulates run as the paper's MCU kernels run them with
 SMLAD: int8 operands widened to int16 pairs, and one x86 ``pmaddwd``
@@ -38,7 +51,7 @@ the source, the flags, the compiler's identity and the CPU's ISA flags —
 host compiles once and later processes only load.  :func:`leaves` builds
 and loads the leaves on first use, once per process; it returns ``None``
 when there is no compiler or the compile fails, and the turbo backend then
-keeps its NumPy leaves.  :func:`status` says which path this process
+keeps its NumPy and BLAS leaves.  :func:`status` says which path this process
 takes::
 
     python -c "from repro.kernels.native import status; print(status())"
@@ -48,12 +61,14 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import shutil
 import subprocess
 import threading
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,10 +76,16 @@ from repro.errors import KernelError, QuantizationError, ShapeError
 
 __all__ = [
     "NativeBuildError",
+    "SegmentTable",
+    "Stage",
+    "avgpool_stage",
+    "bottleneck_stage",
     "build",
     "cache_dir",
+    "dense_stage",
     "leaves",
     "pack_i16_pairs",
+    "pointwise_stage",
     "status",
 ]
 
@@ -207,13 +228,156 @@ def _packed(
     return np.ascontiguousarray(w)
 
 
-def _tap_rows(k: int, stride: int, pad: int, q: int, wd: int, cpad: int):
-    """Scratch of the depthwise tap loop for ``q`` outputs per row over
-    ``wd``-pixel rows: the zeroed bordered row and the ring of ``k``
-    paired rows (``erow`` and ``ring`` in the C source)."""
-    ns = (q - 1) * stride + 2 * (-(-k // 2)) - 1
-    erow = np.zeros((max(ns + 1, pad + wd), cpad), dtype=np.int16)
-    return erow, np.empty((k, ns, cpad, 2), dtype=np.int16)
+def _mult_args(mult) -> tuple[int, int]:
+    if not 0 <= mult.shift < 64:
+        raise QuantizationError(f"shift {mult.shift} outside [0, 64)")
+    return mult.multiplier, mult.shift
+
+
+# --------------------------------------------------------------------------- #
+# stage rows
+# --------------------------------------------------------------------------- #
+#: the int64 fields of one stage row, in the order of the ``F_*`` fields of
+#: ``_native.c`` (which documents them); checked against the library when
+#: it loads
+_STAGE_FIELDS = (
+    "kind", "h", "w", "c_in", "c_mid", "c_out", "k", "s1", "stride", "pad",
+    "hb", "p", "q", "residual", "m0", "sh0", "m1", "sh1", "m2", "sh2",
+    "w0", "w1", "w2",
+)
+#: values of the ``kind`` field
+_POINTWISE, _BOTTLENECK, _AVGPOOL = 0, 1, 2
+
+
+class Stage(NamedTuple):
+    """One pipeline stage as a row of the native leaves' stage table."""
+
+    #: ``int64[len(_STAGE_FIELDS)]``
+    row: np.ndarray
+    #: what the stage reads and writes per batch element
+    in_shape: tuple[int, ...]
+    out_shape: tuple[int, ...]
+    #: the packed weights whose addresses the row holds
+    packs: tuple[np.ndarray, ...]
+    #: whether a batch element of any shape with ``prod(in_shape)``
+    #: elements is read as ``in_shape`` (a dense stage's input rows, as
+    #: the fast backend reads them); otherwise it must be ``in_shape``
+    flat_input: bool = False
+
+
+def _stage(kind, in_shape, out_shape, packs=(), mults=(), **fields) -> Stage:
+    fields["kind"] = kind
+    for i, w in enumerate(packs):
+        fields[f"w{i}"] = w.ctypes.data
+    for i, mult in enumerate(mults):
+        fields[f"m{i}"], fields[f"sh{i}"] = _mult_args(mult)
+    row = np.array([fields.get(f, 0) for f in _STAGE_FIELDS], dtype=np.int64)
+    row.setflags(write=False)
+    return Stage(row, in_shape, out_shape, tuple(packs))
+
+
+def pointwise_stage(h, wd, c_in, c_out, stride, w, mult) -> Stage:
+    """``int8[h, wd, c_in]`` -> ``int8[p, q, c_out]``, keeping every
+    ``stride``-th pixel; ``w`` is the :func:`pack_i16_pairs` pack of the
+    ``int8[c_in, c_out]`` weights."""
+    if min(h, wd, c_in, c_out, stride) <= 0:
+        raise ShapeError(
+            f"bad pointwise geometry {h}x{wd}x{c_in}->{c_out} / {stride}"
+        )
+    p, q = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    return _stage(
+        _POINTWISE, (h, wd, c_in), (p, q, c_out),
+        (_packed(w, (), c_in, c_out),), (mult,),
+        h=h, w=wd, c_in=c_in, c_out=c_out, stride=stride, p=p, q=q,
+    )
+
+
+def dense_stage(m, k, n, w, mult) -> Stage:
+    """``int8[m, k]`` -> ``int8[m, n]``: a pointwise stage over ``m``
+    pixels; ``w`` is the pack of the ``int8[k, n]`` weights."""
+    stage = pointwise_stage(m, 1, k, n, 1, w, mult)
+    return stage._replace(
+        in_shape=(m, k), out_shape=(m, n), flat_input=True
+    )
+
+
+def bottleneck_stage(spec, we, wdw, wp, mults) -> Stage:
+    """The inverted-bottleneck block ``spec``: ``int8[hw, hw, c_in]`` ->
+    ``int8[p, p, c_out]``, with the packs of its expand, depthwise and
+    project weights and their three multipliers."""
+    hw, k = spec.hw, spec.kernel
+    packs = (
+        _packed(we, (), spec.c_in, spec.c_mid),
+        _packed(wdw, (k,), k, spec.c_mid),
+        _packed(wp, (), spec.c_mid, spec.c_out),
+    )
+    s1, s2, s3 = spec.strides
+    hb, p = spec.mid_spatial(), spec.spatial_out()
+    if spec.has_residual and (p, spec.c_out) != (hw, spec.c_in):
+        raise ShapeError(
+            f"residual add needs [{hw},{hw},{spec.c_in}] output, got "
+            f"[{p},{p},{spec.c_out}]"
+        )
+    return _stage(
+        _BOTTLENECK, (hw, hw, spec.c_in), (p, p, spec.c_out), packs, mults,
+        h=hw, w=hw, c_in=spec.c_in, c_mid=spec.c_mid, c_out=spec.c_out, k=k,
+        s1=s1, stride=s2 * s3, pad=spec.padding, hb=hb, p=p, q=p,
+        residual=int(spec.has_residual),
+    )
+
+
+def avgpool_stage(h, wd, c, mult) -> Stage:
+    """``int8[h, wd, c]`` -> ``int8[c]``: the requantized sum over every
+    pixel (``mult`` folds in the averaging)."""
+    if min(h, wd, c) <= 0:
+        raise ShapeError(f"bad average-pool geometry {h}x{wd}x{c}")
+    return _stage(_AVGPOOL, (h, wd, c), (c,), mults=(mult,), h=h, w=wd, c_in=c)
+
+
+class SegmentTable:
+    """A chain of stages bound for one ``vmcu_segment`` call.
+
+    Immutable once built.  It holds every pack its rows point at, so
+    whoever holds the table holds the weights it runs; a caller whose
+    weights changed binds a new table rather than editing this one.
+    """
+
+    __slots__ = ("rows", "in_shape", "flat_input", "out_shapes", "packs")
+
+    def __init__(self, stages):
+        stages = tuple(stages)
+        if not stages:
+            raise ShapeError("a segment needs at least one stage")
+        for a, b in zip(stages, stages[1:]):
+            if math.prod(a.out_shape) != math.prod(b.in_shape):
+                raise ShapeError(
+                    f"stage output {list(a.out_shape)} cannot feed a stage "
+                    f"reading {list(b.in_shape)}"
+                )
+        self.rows = np.stack([s.row for s in stages])
+        self.rows.setflags(write=False)
+        self.in_shape = stages[0].in_shape
+        self.flat_input = stages[0].flat_input
+        self.out_shapes = tuple(s.out_shape for s in stages)
+        self.packs = tuple(w for s in stages for w in s.packs)
+
+
+def _batch(xb, shape, flat: bool) -> np.ndarray:
+    """``xb`` checked as ``int8[B, *shape]``, C-contiguous; with ``flat``,
+    any ``xb`` of ``prod(shape)`` elements per batch element, reshaped."""
+    if flat and xb.ndim and xb.size == len(xb) * math.prod(shape):
+        xb = xb.reshape(len(xb), *shape)
+    if xb.dtype != np.int8 or xb.shape[1:] != shape:
+        raise ShapeError(
+            f"stage needs int8[B,{','.join(map(str, shape))}], got "
+            f"{xb.dtype}{list(xb.shape)}"
+        )
+    return np.ascontiguousarray(xb)
+
+
+def _check(status: int) -> None:
+    if status:
+        raise MemoryError("a native leaf could not allocate its scratch")
 
 
 class _Leaves:
@@ -227,22 +391,21 @@ class _Leaves:
             fn.argtypes = (ptr, ptr, ptr, i64, i32, i32)
             fn.restype = None
         self._depthwise = lib.vmcu_depthwise
-        self._depthwise.argtypes = (ptr,) * 6 + (i32,) * 11
-        self._depthwise.restype = None
-        self._bottleneck = lib.vmcu_bottleneck
-        self._bottleneck.argtypes = (ptr,) * 10 + (i32,) * 18
-        self._bottleneck.restype = None
-        lib.vmcu_lanes.argtypes = ()
-        lib.vmcu_lanes.restype = i32
+        self._depthwise.argtypes = (ptr,) * 3 + (i32,) * 11
+        self._segment = lib.vmcu_segment
+        self._segment.argtypes = (ptr, i32, i32, ptr, ptr)
+        for fn in (self._depthwise, self._segment, lib.vmcu_stage_fields,
+                   lib.vmcu_lanes):
+            fn.restype = i32
+        lib.vmcu_stage_fields.argtypes = lib.vmcu_lanes.argtypes = ()
+        if lib.vmcu_stage_fields() != len(_STAGE_FIELDS):
+            raise NativeBuildError(
+                f"the library's stage rows have {lib.vmcu_stage_fields()} "
+                f"fields, this module writes {len(_STAGE_FIELDS)}"
+            )
         #: int32 lanes per vector in this build: 16 under AVX-512BW, 8
         #: under AVX2, 4 otherwise
         self.lanes = int(lib.vmcu_lanes())
-
-    @staticmethod
-    def _mult_args(mult) -> tuple[int, int]:
-        if not 0 <= mult.shift < 64:
-            raise QuantizationError(f"shift {mult.shift} outside [0, 64)")
-        return mult.multiplier, mult.shift
 
     def requantize(self, acc, mult, residual=None) -> np.ndarray:
         """:func:`repro.quant.requantize` in one pass, plus an optional
@@ -268,7 +431,7 @@ class _Leaves:
             res_ptr = residual.ctypes.data
         out = np.empty(acc.shape, dtype=np.int8)
         fn(acc.ctypes.data, res_ptr, out.ctypes.data, acc.size,
-           *self._mult_args(mult))
+           *_mult_args(mult))
         return out
 
     def depthwise(self, xb, w, mult, stride: int, pad: int) -> np.ndarray:
@@ -293,67 +456,27 @@ class _Leaves:
             )
         xb = np.ascontiguousarray(xb)
         out = np.empty((bsz, p, q, c), dtype=np.int8)
-        cp = w.shape[-2]
-        erow, ring = _tap_rows(k, stride, pad, q, wd, cp)
-        acc = np.empty((q, cp), dtype=np.int32)
-        self._depthwise(
-            xb.ctypes.data, w.ctypes.data, out.ctypes.data, erow.ctypes.data,
-            ring.ctypes.data, acc.ctypes.data, bsz, h, wd, c, k, stride,
-            pad, p, q, *self._mult_args(mult),
-        )
+        _check(self._depthwise(
+            xb.ctypes.data, w.ctypes.data, out.ctypes.data, bsz, h, wd, c, k,
+            stride, pad, p, q, *_mult_args(mult),
+        ))
         return out
 
-    def bottleneck(
-        self, xb, spec, w_expand, w_dw, w_project, mults
-    ) -> np.ndarray:
-        """The inverted-bottleneck block ``spec`` over ``int8[B, H, H, c_in]``.
+    def segment(self, table: SegmentTable, xb) -> list[np.ndarray]:
+        """Every stage of ``table`` over the batch ``xb`` in one call.
 
-        Expand, depthwise at stride ``s2*s3``, project, every requantize
-        and the residual add in one pass per output row, holding only a
-        ``k``-row ring of the expanded tensor.  Same contract as
-        ``FastBackend._bottleneck_batch``, except that the weights are
-        ``pack_i16_pairs`` packs.
+        Returns one new array per stage, ``int8[B, *out_shape]``: each
+        stage's output is its own allocation, so holding one stage's
+        result never pins another's.
         """
-        hw, k = spec.hw, spec.kernel
-        if xb.ndim != 4 or xb.dtype != np.int8 or xb.shape[1:] != (
-            hw, hw, spec.c_in
-        ):
-            raise ShapeError(
-                f"bottleneck needs int8[B,{hw},{hw},{spec.c_in}], got "
-                f"{xb.dtype}{list(xb.shape)}"
-            )
-        we = _packed(w_expand, (), spec.c_in, spec.c_mid)
-        wdw = _packed(w_dw, (k,), k, spec.c_mid)
-        wp = _packed(w_project, (), spec.c_mid, spec.c_out)
-        s1, s2, s3 = spec.strides
-        hb, p = spec.mid_spatial(), spec.spatial_out()
-        if spec.has_residual and (p, spec.c_out) != (hw, spec.c_in):
-            raise ShapeError(
-                f"residual add needs [{hw},{hw},{spec.c_in}] output, got "
-                f"[{p},{p},{spec.c_out}]"
-            )
-        bsz = xb.shape[0]
-        xb = np.ascontiguousarray(xb)
-        out = np.empty((bsz, p, p, spec.c_out), dtype=np.int8)
-        cm, co = wdw.shape[-2], wp.shape[-2]
-        # scratch: one widened input row (its odd column stays zero), the
-        # bordered row and k-row paired ring of the expanded tensor, the
-        # project's input row, and one row of each stage's raw sums
-        xrow = np.zeros((hb, spec.c_in + spec.c_in % 2), dtype=np.int16)
-        erow, ring = _tap_rows(k, s2 * s3, spec.padding, p, hb, cm)
-        drow = np.empty((p, cm), dtype=np.int16)
-        acc = np.empty((hb, max(cm, co)), dtype=np.int32)
-        m1, mdw, m2 = mults
-        self._bottleneck(
-            xb.ctypes.data, out.ctypes.data, we.ctypes.data, wdw.ctypes.data,
-            wp.ctypes.data, xrow.ctypes.data, erow.ctypes.data,
-            ring.ctypes.data, drow.ctypes.data, acc.ctypes.data, bsz, hw,
-            spec.c_in, spec.c_mid, spec.c_out, k, s1, s2 * s3,
-            spec.padding, hb, p, int(spec.has_residual),
-            *self._mult_args(m1), *self._mult_args(mdw),
-            *self._mult_args(m2),
-        )
-        return out
+        xb = _batch(xb, table.in_shape, table.flat_input)
+        bsz = len(xb)
+        outs = [np.empty((bsz, *s), dtype=np.int8) for s in table.out_shapes]
+        _check(self._segment(
+            table.rows.ctypes.data, len(outs), bsz, xb.ctypes.data,
+            (ctypes.c_void_p * len(outs))(*[o.ctypes.data for o in outs]),
+        ))
+        return outs
 
 
 #: guards the one-time build-and-load below; named in
@@ -370,8 +493,8 @@ def _load() -> tuple[_Leaves | None, str]:
         leaves = _Leaves(ctypes.CDLL(str(path)))
     except (NativeBuildError, OSError, AttributeError) as exc:
         return None, (
-            f"unavailable ({exc}); turbo runs requantize_fast and the "
-            "NumPy tap loop"
+            f"unavailable ({exc}); turbo runs BLAS GEMMs, requantize_fast "
+            "and the NumPy tap loop"
         )
     return leaves, f"loaded from {path}"
 

@@ -1,66 +1,60 @@
 """Turbo execution backend (``execution="turbo"``): native-rate serving math.
 
 The ``"fast"`` backend already amortizes planning, weight packing and
-cost derivation; what remains per request is the arithmetic itself, and
-NumPy executes integer matmuls with its generic C inner loop — BLAS never
-sees them — and the requantize epilogue and depthwise taps as many
-whole-tensor passes.  This backend swaps the three arithmetic leaves of
-:class:`~repro.kernels.fastpath.FastBackend`, and wherever the native
-leaves build, the whole bottleneck stage, for implementations that run
-at BLAS or compiled-C rate while remaining *provably bit-exact*:
+cost derivation; what remains per request is the arithmetic itself, which
+NumPy runs through its generic int32 matmul loop and many whole-tensor
+passes.  This backend runs it in the native leaves of
+:mod:`repro.kernels.native`, compiled once per host with ``gcc``, while
+remaining *provably bit-exact*:
 
-* **bottleneck stages** — the native ``vmcu_bottleneck`` leaf of
-  :mod:`repro.kernels.native` runs each inverted bottleneck in one pass
-  per output row, as the paper's fused kernel does: expand, depthwise at
-  stride ``s2*s3``, project, every requantize and the residual add,
-  keeping only a ``k``-row ring of the expanded tensor.  Its
-  multiply-accumulates are ``pmaddwd`` over int16 pairs of the int8
-  operands, the host's counterpart of the SMLAD the paper's MCU kernels
-  run: two products per int32 lane.  A pair sum is at most ``2**15`` in
-  magnitude, so no lane overflows, and the int32 accumulation wraps
-  modulo ``2**32`` exactly like the fast backend's, so it is bit-exact
-  for any reduction depth.  Every build target has the leaf, with one
-  ``pmaddwd`` per target (AVX-512BW, AVX2, SSE2, or a portable form);
-  only a host without a compiler runs the three-leaf path below.
+* **one native call per segment** — a session binds each segment once
+  (:meth:`TurboBackend.bind`): every stage becomes a row of a C stage
+  table (its kind, geometry, requantize multipliers and the addresses of
+  its int16-pair weight packs), and the stacked pass of a batch is one
+  ``vmcu_segment`` call that walks the table with the GIL released.  Per
+  call, Python only checks each weight's pack against the table (the
+  pack cache's content digest: an in-place mutation re-packs, and the
+  call binds a new table) and allocates one output array per stage.  A
+  caller without a binding (``Pipeline.run_batch``) binds for its call.
 
-* **GEMM** — int8 operands are exactly representable in float64, and a
-  dot product over ``K`` terms is bounded by ``K * 128 * 128 = K * 2**14``
-  in magnitude.  For ``K < 2**17`` that bound stays below ``2**31``, so
-  the int32 accumulation the simulator performs never wraps, and below
-  ``2**53`` every partial sum is exact in a double *regardless of the
-  summation order BLAS chooses*.  Casting the float64 product back to
-  int32 therefore reproduces the simulator's accumulator bit for bit.
-  Shapes with ``K >= 2**17`` (none exist in the Table 2 models; the
-  guard is there for arbitrary user graphs) fall back to the int32
-  matmul, where wrapping semantics are native.
+* **the leaves** — pointwise and dense stages (int16-pair GEMM rows with
+  the requantize fused in), the inverted bottleneck fused the way the
+  paper's kernel streams it (expand, depthwise at stride ``s2*s3``,
+  project, every requantize and the residual add in one pass per output
+  row, holding only a ``k``-row ring of the expanded tensor), the global
+  average pool and the standalone depthwise.  Their multiply-accumulates
+  are ``pmaddwd`` over int16 pairs of the int8 operands, the host's
+  counterpart of the SMLAD the paper's MCU kernels run: two products per
+  int32 lane.  A pair sum is at most ``2**15`` in magnitude, so no lane
+  overflows, and the int32 accumulation wraps modulo ``2**32`` exactly
+  like the fast backend's, so it is bit-exact for any reduction depth.
+  The per-request path (``run_pipeline``: ``CompiledModel.run`` and the
+  cost template's dry run) runs each stage as a one-row segment, so with
+  the leaves loaded no pipeline stage reaches BLAS, and BLAS's thread
+  count does not matter to serving.  Every build target has every
+  leaf, with one ``pmaddwd`` per target (AVX-512BW, AVX2, SSE2, or a
+  portable form).
 
-  The standalone pointwise and dense stages stay on BLAS: a
-  row-at-a-time C int8 GEMM with the requantize epilogue fused in, built
-  like the leaves below, measured slower than BLAS plus the native
-  requantize over the same GEMM shapes (1.35 vs 0.93 ms per request on
-  the VWW classifier at batch 1, 13.7 vs 7.1 on ImageNet at batch 8; gcc
-  12 ``-O3 -march=native`` against NumPy 2.4's BLAS on a 2-vCPU x86-64
-  Xeon with AVX-512).  Inside the fused bottleneck the C pointwise wins
-  instead: its accumulators stay in registers and no intermediate is
-  ever written at float64.
+* **without a compiler**, or when the build fails, the backend keeps the
+  fast backend's stage structure with three swapped leaves:
 
-* **requantize** and **depthwise taps** — the native leaves of
-  :mod:`repro.kernels.native`, compiled once per host with ``gcc``:
-  one pass per element of the exact gemmlowp integer pipeline, with the
-  bottleneck's saturating residual add fused in, and a depthwise kernel
-  on the fused leaf's tap loop, which pads its rows with zeros, takes
-  the bottleneck's composite stride directly and requantizes each output
-  in the same pass.  The requantize is exact on the GEMM's float64
-  accumulators, not just close: they hold integers of magnitude below
-  ``2**31`` (the bound above), which a double represents exactly, so the
-  C conversion to an integer loses nothing and everything after it is
-  the integer pipeline of :func:`repro.quant.requantize`.  Without a
-  compiler, or when the build fails, the backend keeps NumPy leaves
-  instead:
-  :func:`repro.quant.requantize_fast` (one float64 multiply-and-round,
-  with the exact integer pipeline replayed only on the few percent of
-  elements near a rounding boundary; see its docstring) and the fast
-  backend's tap loop.
+  - **GEMM** as float64 BLAS — int8 operands are exactly representable in
+    float64, and a dot product over ``K`` terms is bounded by
+    ``K * 128 * 128 = K * 2**14`` in magnitude.  For ``K < 2**17`` that
+    bound stays below ``2**31``, so the int32 accumulation the simulator
+    performs never wraps, and below ``2**53`` every partial sum is exact
+    in a double *regardless of the summation order BLAS chooses*.
+    Casting the float64 product back to int32 therefore reproduces the
+    simulator's accumulator bit for bit.  Shapes with ``K >= 2**17``
+    (none exist in the Table 2 models; the guard is there for arbitrary
+    user graphs) fall back to the int32 matmul, where wrapping semantics
+    are native.  conv2d, which is not a pipeline stage, runs this GEMM
+    with the leaves loaded too;
+  - **requantize** as :func:`repro.quant.requantize_fast` (one float64
+    multiply-and-round, with the exact integer pipeline replayed only on
+    the few percent of elements near a rounding boundary; see its
+    docstring);
+  - **depthwise taps** as the fast backend's tap loop.
 
 Costs are untouched: the backend shares the fast backend's per-plan
 :class:`~repro.kernels.base.CostTemplate` cache, so per-request
@@ -76,6 +70,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import KernelError
 from repro.kernels import native
 from repro.kernels.base import (
     cached_pack,
@@ -83,12 +78,7 @@ from repro.kernels.base import (
     pack_i32,
     register_execution_backend,
 )
-from repro.kernels.fastpath import (
-    FastBackend,
-    _check_bottleneck_batch,
-    _fault_hook,
-    _saturating_add,
-)
+from repro.kernels.fastpath import FastBackend, _fault_hook, _saturating_add
 from repro.kernels.native import pack_i16_pairs
 from repro.quant import requantize_fast
 
@@ -105,16 +95,132 @@ def gemm_is_exact(k: int) -> bool:
     return 0 < k < I32_SAFE_K
 
 
+def _pairs(w: np.ndarray) -> np.ndarray:
+    """The native leaves' int16-pair operand of ``w``, via the pack cache."""
+    return cached_pack(w, 0, pack_i16_pairs)
+
+
+def _pointwise_stage(kern, w, mult) -> native.Stage:
+    return native.pointwise_stage(
+        kern.h, kern.w, kern.c, kern.k, kern.stride, _pairs(w), mult
+    )
+
+
+def _dense_stage(kern, w, mult) -> native.Stage:
+    return native.dense_stage(kern.m, kern.k, kern.n, _pairs(w), mult)
+
+
+def _bottleneck_stage(kern, w_expand, w_dw, w_project, mults):
+    return native.bottleneck_stage(
+        kern.spec, _pairs(w_expand), _pairs(w_dw), _pairs(w_project), mults
+    )
+
+
+def _run_stage(leaves, stage: native.Stage, xb) -> np.ndarray:
+    """One stage over the batch ``xb``: a one-row segment."""
+    return leaves.segment(native.SegmentTable([stage]), xb)[0]
+
+
+class _Binding:
+    """One segment's native stage table, as a session holds it.
+
+    The session owns the binding, so the table and the packs it points at
+    live exactly as long as the served model (plans outlive their models
+    in the plan cache; tables must not).  ``weights`` are the stage
+    weights in the order the table holds their packs.  A call that finds
+    one of them re-packed — the pack cache's content digest saw an
+    in-place mutation — binds a new table and swaps it in; a table is
+    never edited, so a concurrent call finishes on the one it read.  Two
+    calls that both find a stale pack both bind, and either table is
+    current, so no lock is needed: the last swap wins.
+    """
+
+    __slots__ = ("weights", "table")
+
+    def __init__(self, weights: tuple, table: native.SegmentTable):
+        self.weights = weights
+        self.table = table
+
+
 class TurboBackend(FastBackend):
-    """The fast backend with native fused bottlenecks, BLAS GEMMs and
-    native requantize/depthwise."""
+    """The fast backend with native int16-pair leaves: a whole segment in
+    one native call, or BLAS GEMMs where no compiler builds the leaves."""
 
     name = "turbo"
-    #: sessions warm every layout: float64 for the BLAS GEMMs, int32 for
-    #: the NumPy tap loop (when the native leaves are unavailable) and
-    #: the deep-reduction fallback, and the int16 pairs of the native
-    #: depthwise and fused bottleneck
-    weight_packers = (pack_i32, pack_f64, pack_i16_pairs)
+
+    @property
+    def weight_packers(self):
+        """The layouts the loaded path reads, for sessions to warm: the
+        int16 pairs of the native leaves, or without them the float64
+        BLAS operands; and int32 for ``"fast"``, which the breaker
+        degrades to (and the NumPy tap loop of the no-compiler path)."""
+        if native.leaves() is None:
+            return (pack_i32, pack_f64)
+        return (pack_i32, pack_i16_pairs)
+
+    def bind(self, pipeline, plan):
+        """The segment's native stage table, or ``None`` without the
+        native leaves."""
+        from repro.runtime.pipeline import stage_weight_arrays
+
+        if native.leaves() is None:
+            return None
+        weights = tuple(
+            w for stage in pipeline.stages for w in stage_weight_arrays(stage)
+        )
+        return _Binding(weights, self._table(pipeline, plan))
+
+    def _table(self, pipeline, plan) -> native.SegmentTable:
+        from repro.runtime.pipeline import (
+            BottleneckStage,
+            DenseStage,
+            GlobalAvgPoolStage,
+            PointwiseStage,
+        )
+
+        stages = []
+        for sp, stage in zip(plan.stages, pipeline.stages):
+            kern = sp.kernel
+            if isinstance(stage, PointwiseStage):
+                row = _pointwise_stage(kern, stage.weights, stage.mult)
+            elif isinstance(stage, BottleneckStage):
+                row = _bottleneck_stage(
+                    kern, stage.w_expand, stage.w_dw, stage.w_project,
+                    tuple(stage.mults),
+                )
+            elif isinstance(stage, GlobalAvgPoolStage):
+                row = native.avgpool_stage(kern.h, kern.w, kern.c, stage.mult)
+            elif isinstance(stage, DenseStage):
+                row = _dense_stage(kern, stage.weights, stage.mult)
+            else:
+                raise KernelError(
+                    f"unknown stage type {type(stage).__name__}"
+                )
+            stages.append(row)
+        return native.SegmentTable(stages)
+
+    def _run_stacked(self, pipeline, plan, xb, binding=None):
+        """The whole segment in one native call.
+
+        Per call this checks each weight's pack against the table (the
+        pack cache's content digest) and allocates one output array per
+        stage; everything else was bound once, by :meth:`bind` for a
+        session or here for a caller that passes no ``binding``.
+        """
+        leaves = native.leaves()
+        if leaves is None:
+            return super()._run_stacked(pipeline, plan, xb)
+        _fault_hook("backend.turbo.gemm")
+        if binding is None:
+            table = self._table(pipeline, plan)
+        else:
+            table = binding.table
+            if any(
+                _pairs(w) is not packed
+                for w, packed in zip(binding.weights, table.packs)
+            ):
+                table = binding.table = self._table(pipeline, plan)
+        return leaves.segment(table, xb)
 
     def _gemm(
         self, x2d: np.ndarray, w: np.ndarray,
@@ -140,9 +246,21 @@ class TurboBackend(FastBackend):
         leaves = native.leaves()
         if leaves is None:
             return super()._depthwise_batch(xb, w, mult, stride, pad)
-        return leaves.depthwise(
-            xb, cached_pack(w, 0, pack_i16_pairs), mult, stride, pad
-        )
+        return leaves.depthwise(xb, _pairs(w), mult, stride, pad)
+
+    def _pointwise_batch(self, kern, xb, w, mult):
+        leaves = native.leaves()
+        if leaves is None:
+            return super()._pointwise_batch(kern, xb, w, mult)
+        _fault_hook("backend.turbo.gemm")
+        return _run_stage(leaves, _pointwise_stage(kern, w, mult), xb)
+
+    def _dense_batch(self, kern, xb, w, mult):
+        leaves = native.leaves()
+        if leaves is None:
+            return super()._dense_batch(kern, xb, w, mult)
+        _fault_hook("backend.turbo.gemm")
+        return _run_stage(leaves, _dense_stage(kern, w, mult), xb)
 
     def _bottleneck_batch(self, kern, xb, w_expand, w_dw, w_project, mults):
         leaves = native.leaves()
@@ -150,12 +268,11 @@ class TurboBackend(FastBackend):
             return super()._bottleneck_batch(
                 kern, xb, w_expand, w_dw, w_project, mults
             )
-        _check_bottleneck_batch(kern.spec, xb)
-        we, wdw, wp = (
-            cached_pack(w, 0, pack_i16_pairs)
-            for w in (w_expand, w_dw, w_project)
+        return _run_stage(
+            leaves,
+            _bottleneck_stage(kern, w_expand, w_dw, w_project, mults),
+            xb,
         )
-        return leaves.bottleneck(xb, kern.spec, we, wdw, wp, mults)
 
 
 register_execution_backend(TurboBackend())

@@ -388,10 +388,11 @@ class Pipeline:
         segment operation in one shared circular pool (race-checked);
         ``"fast"`` executes each stage as vectorized NumPy with the pool
         events derived analytically — identical outputs and cost reports,
-        orders of magnitude faster; ``"turbo"`` runs the same with
-        bottlenecks in a native fused leaf and the other GEMMs in exact
-        float64 BLAS arithmetic.  :meth:`run_batch` additionally
-        amortizes event generation into a per-plan cost template.
+        orders of magnitude faster; ``"turbo"`` runs the same with every
+        stage in a native int16-pair leaf (exact float64 BLAS GEMMs where
+        no compiler builds them).  :meth:`run_batch` additionally
+        amortizes event generation into a per-plan cost template, and on
+        ``"turbo"`` runs the whole chain in one native call.
         """
         backend = get_execution_backend(execution)
         plan = self._resolve_plan(plan)
@@ -405,10 +406,11 @@ class Pipeline:
 
         The plan is solved (or validated) once for the whole batch — the
         run-many half of plan-once/run-many.  On the ``"turbo"`` (default)
-        and ``"fast"`` backends each stage executes as one stacked GEMM
-        across the batch and per-request cost reports are replayed from a
-        per-plan template (bit-identical to ``"simulate"``); other
-        backends fall back to per-request dispatch.
+        backend the whole chain runs across the batch in one native call,
+        on ``"fast"`` each stage as one stacked GEMM, and per-request cost
+        reports are replayed from a per-plan template (bit-identical to
+        ``"simulate"``); other backends fall back to per-request
+        dispatch.
         """
         backend = get_execution_backend(execution)
         plan = self._resolve_plan(plan)

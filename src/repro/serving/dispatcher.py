@@ -26,8 +26,9 @@ The scale-out layer above :class:`~repro.serving.session.Session`:
   estimates, with hysteresis; resizes land in the audit trail;
 * **workers** pop batches and dispatch them through the tenant's warmed
   :class:`Session`.  Thread workers are the default — the hot path
-  releases the GIL inside the native leaves and NumPy/BLAS, so threads
-  shard real work on multicore hosts while sharing every cache.
+  releases the GIL for the whole native segment pass (or inside NumPy
+  and BLAS without the native leaves), so threads shard real work on
+  multicore hosts while sharing every cache.
   ``workers="process"`` forks one worker pool instead and falls back to
   per-request dispatch (sessions are inherited copy-on-write; children
   return raw outputs and the parent re-attaches the shared cost
@@ -437,14 +438,14 @@ class Dispatcher:
         ``min_workers..max_workers`` range; the autoscaler moves the
         fleet inside it afterwards).
     worker_mode:
-        ``"thread"`` (default; shards share every cache and the GEMMs
-        release the GIL) or ``"process"`` (fork a pool; per-request
+        ``"thread"`` (default; shards share every cache and the native
+        leaves release the GIL) or ``"process"`` (fork a pool; per-request
         dispatch inside each formed batch; the pool keeps its initial
         size).
     execution:
         Backend for every tenant session; the ``"turbo"`` default keeps
-        bit-exactness while running bottlenecks in its native fused leaf
-        and the other stacked GEMMs at BLAS rate.
+        bit-exactness while running each model segment in one native
+        call over the stage table its session bound at open.
     max_batch, max_queue_depth, default_deadline_s, batch_timeout_s:
         Shorthand for the matching :class:`FleetConfig` fields when no
         ``config`` is given.  ``batch_timeout_s`` defaults to ``0``, the

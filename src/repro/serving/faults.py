@@ -64,9 +64,10 @@ SITES = (
     "session.run_batch",   # Session.run_batch entry (any caller)
     "backend.fast",        # FastBackend.run_pipeline_batch
     "backend.turbo",       # TurboBackend.run_pipeline_batch (inherited)
-    "backend.turbo.gemm",  # TurboBackend._gemm: the BLAS leaf of
-                           # pointwise/dense stages, and of bottlenecks
-                           # only without the native leaves
+    "backend.turbo.gemm",  # turbo's GEMM work: once per native segment
+                           # pass and per native pointwise/dense call, or
+                           # in TurboBackend._gemm, the BLAS leaf, without
+                           # the native leaves
     "worker.loop",         # dispatcher worker thread, before claiming work
     "process.child",       # forked pool child, before serving a request
 )

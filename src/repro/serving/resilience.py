@@ -8,7 +8,7 @@ backend in this repo is bit-exact by construction:
   primary backend the breaker **opens**: subsequent batches run on the
   fallback in :data:`DEGRADE_CHAIN` (``"turbo"`` → ``"fast"``, which
   still stacks the batch and replays the shared cost template), trading
-  BLAS-rate arithmetic for int32 GEMMs.
+  the native segment pass for NumPy int32 GEMMs.
   After ``breaker_cooldown_s`` one batch **probes** the primary; success
   closes the breaker, failure re-arms the cooldown.  Degrading changes
   wall clock, never bits — the whole point of keeping every backend

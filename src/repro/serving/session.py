@@ -17,13 +17,19 @@ depend on the request:
   :class:`~repro.mcu.profiler.CostReport` sequence is derived once per
   segment plan and replayed for every request, so per-request cost
   accounting is a pointer copy yet stays bit-identical to
-  ``execution="simulate"``.
+  ``execution="simulate"``;
+* **bindings** — whatever the backend binds per segment
+  (:meth:`~repro.kernels.base.ExecutionBackend.bind`): for ``"turbo"``,
+  the native stage table that runs a whole segment in one call.  The
+  session owns them, so they live exactly as long as the model.
 
-What remains per request is the arithmetic — one stacked pass per stage
-across the batch, straight through the backend — behind two guards: an
+What remains per request is the arithmetic — one stacked pass across the
+batch, straight through the backend: one native call per segment on
+``"turbo"``, one pass per stage elsewhere — behind two guards: an
 identity check of the snapshot taken at open (segments, plans, stage
-objects, pipeline geometry, weight shapes and dtypes), and the pack
-cache's content digest of each weight.  :meth:`Session.run` serves one
+objects, pipeline geometry, weight shapes and dtypes), which also keeps
+the bindings valid, and the pack cache's content digest of each weight
+(a re-pack re-binds).  :meth:`Session.run` serves one
 request, :meth:`Session.run_batch` a whole batch; both return
 :class:`RequestResult`\\ s carrying the output tensor(s) and a
 :class:`RequestStats` (host latency, queue depth, modeled stage costs).
@@ -148,9 +154,10 @@ class Session:
 
     Build via :meth:`repro.compiler.compile.CompiledModel.serve` (or
     directly).  Construction performs every amortizable step — plan
-    validation, template derivation and weight packing — so the first
-    request pays no warm-up.  Each later call checks the model against
-    the snapshot taken at open by identity (a structural mutation raises
+    validation, template derivation, weight packing and the backend's
+    per-segment binding — so the first request pays no warm-up.  Each
+    later call checks the model against the snapshot taken at open by
+    identity (a structural mutation raises
     :class:`~repro.errors.ServingError`; open a new session instead),
     then runs the backend's stacked pass.
 
@@ -160,11 +167,11 @@ class Session:
         The planned model to serve.
     execution:
         Name of the registered execution backend used for dispatch.  The
-        default ``"turbo"`` backend stacks the batch through each stage,
-        running bottlenecks in its native fused leaf and pointwise and
-        dense stages as exact float64 BLAS GEMMs; ``"fast"`` stacks the
-        same batch through NumPy int32 arithmetic (bit-identical,
-        slower); any
+        default ``"turbo"`` backend runs each segment of the batch in one
+        native call through the stage table bound at open (exact float64
+        BLAS GEMMs stand in for its leaves on a host without a
+        compiler); ``"fast"`` stacks the same batch through NumPy int32
+        arithmetic, one stage at a time (bit-identical, slower); any
         registered backend works (``"simulate"`` falls back to
         per-request dispatch), which keeps the serving layer decoupled
         from any single backend implementation.
@@ -181,10 +188,10 @@ class Session:
         session flaky.  ``None`` (the default) costs one ``is None``
         check per batch.
 
-    Thread-safe: the numeric pass runs outside any lock (the GEMMs
-    release the GIL), while request-id allocation and the aggregate
-    counters are guarded — concurrent dispatcher workers sharing one
-    session never tear the accounting.
+    Thread-safe: the numeric pass runs outside any lock (the native
+    leaves and BLAS release the GIL), while request-id allocation and the
+    aggregate counters are guarded — concurrent dispatcher workers
+    sharing one session never tear the accounting.
     """
 
     def __init__(
@@ -221,10 +228,14 @@ class Session:
         self.stats = SessionStats()
         stage_names: list[str] = []
         stage_reports: list[CostReport] = []
+        bindings = []
         for seg in compiled.segments:
             # the geometry check and SRAM fit, once: every later call is
             # guarded by the snapshot instead of re-deriving the geometry
             seg.pipeline._resolve_plan(seg.plan)
+            # the backend's per-segment state (turbo's native stage
+            # table), held by the session and so by the model's lifetime
+            bindings.append(self._backend.bind(seg.pipeline, seg.plan))
             if hasattr(self._backend, "pipeline_template"):
                 # warms the backend's per-plan template cache; the plan
                 # stays alive through compiled.segments, so replay at
@@ -235,6 +246,7 @@ class Session:
                 stage_names.extend(sp.name for sp in seg.plan.stages)
                 stage_reports.extend(template.stage_reports)
             self._pack_weights(seg.pipeline)
+        self._bindings = tuple(bindings)
         if stage_reports:
             #: shared across requests: the modeled cost of serving one
             #: request is plan-determined, not data-determined
@@ -251,9 +263,10 @@ class Session:
         """Promote every stage weight once through the shared pack cache.
 
         Warms every operand layout the session's backend declares
-        (``weight_packers``) — e.g. turbo's float64 BLAS operands in
-        addition to the int32 ones — so the first request pays no
-        packing cost.
+        (``weight_packers``) — e.g. turbo's int16 pairs of its native
+        leaves (its float64 BLAS operands where those do not build) in
+        addition to the int32 ones the ``"fast"`` fallback reads — so the
+        first request pays no packing cost.
         """
         from repro.kernels.base import pack_i32
         from repro.runtime.pipeline import stage_weight_arrays
@@ -328,6 +341,12 @@ class Session:
                 )
 
         backend = get_execution_backend(execution or self.execution)
+        # a binding belongs to the backend that made it; the snapshot
+        # check above is what keeps it valid for these segments
+        bindings = (
+            self._bindings if backend is self._backend
+            else (None,) * len(self._bindings)
+        )
         t0 = time.perf_counter()
         bsz = len(feeds_list)
         per_request_outputs: list[dict[str, np.ndarray]] = [
@@ -336,7 +355,7 @@ class Session:
         # only materialized for backends without a cost template
         per_request_reports: list[list[CostReport]] = [[] for _ in range(bsz)]
         stage_names: list[str] = []
-        for seg in self.compiled.segments:
+        for seg, binding in zip(self.compiled.segments, bindings):
             name = seg.lowered.input_name
             xs = []
             for i, feeds in enumerate(feeds_list):
@@ -345,8 +364,9 @@ class Session:
                         f"request {i}: missing feed for input {name!r}"
                     )
                 xs.append(np.asarray(feeds[name]))
+            bound = {} if binding is None else {"binding": binding}
             results = backend.run_pipeline_batch(
-                seg.pipeline, seg.plan, xs, strict=strict
+                seg.pipeline, seg.plan, xs, strict=strict, **bound
             )
             out_name = seg.lowered.output_name
             spec_shape = graph.tensors[out_name].spec.shape

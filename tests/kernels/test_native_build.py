@@ -9,10 +9,13 @@
   keeps serving bit-exact results through ``requantize_fast`` and the
   NumPy tap loop;
 * every build target has the fused bottleneck leaf and serves bit-exact
-  through it: an AVX2 build at 8 int32 lanes, a baseline x86-64 (SSE2)
-  build at 4, and a build with the intrinsic branches' macros undefined,
-  which runs the portable form of ``pmaddwd``; ``status()`` reports the
-  lanes.
+  through its segment entry: an AVX2 build at 8 int32 lanes, a baseline
+  x86-64 (SSE2) build at 4, and a build with the intrinsic branches'
+  macros undefined, which runs the portable form of ``pmaddwd``;
+  ``status()`` reports the lanes;
+* a build under AddressSanitizer and UBSan serves both models, chains of
+  every stage kind and the standalone depthwise bit-exact, in a spawned
+  interpreter with the sanitizer runtime preloaded.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import os
 import platform
 import shutil
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -33,7 +38,7 @@ import pytest
 from repro.kernels import base, get_execution_backend, native, turbo
 from repro.quant import quantize_multiplier
 from repro.runtime.pipeline import BottleneckStage, Pipeline, PointwiseStage
-from tests.kernels.test_turbo_backend import fused_calls
+from tests.kernels.test_turbo_backend import fused_calls, segment_calls
 
 SOURCE = "int repro_answer(void) { return 42; }\n"
 N_BUILDERS = 3
@@ -185,7 +190,7 @@ def test_turbo_falls_back_bit_exact(tmp_path, monkeypatch, breakage):
 
 def _serves_bit_exact(path: Path, monkeypatch) -> native._Leaves:
     """Load the library at ``path`` as this process's leaves; turbo must
-    serve the bottleneck pipeline through its fused leaf and its
+    serve the bottleneck pipeline through its segment entry and its
     depthwise leaf must match the NumPy tap loop, bit for bit."""
     found = native._Leaves(ctypes.CDLL(str(path)))
     monkeypatch.setattr(native, "_loaded", (found, f"loaded from {path}"))
@@ -196,11 +201,15 @@ def _serves_bit_exact(path: Path, monkeypatch) -> native._Leaves:
         rng.integers(-128, 128, size=(12, 12, 8), dtype=np.int8)
         for _ in range(3)
     ]
+    backend = get_execution_backend("turbo")
+    # the cost template's dry run runs the per-stage fused leaf, the
+    # stacked pass then one segment call
     with fused_calls() as calls:
-        results = get_execution_backend("turbo").run_pipeline_batch(
-            pipe, plan, xs
-        )
+        backend.pipeline_template(pipe, plan)
     assert calls
+    with segment_calls() as calls:
+        results = backend.run_pipeline_batch(pipe, plan, xs)
+    assert len(calls) == 1
     for x, res in zip(xs, results):
         np.testing.assert_array_equal(
             res.output, pipe.run(x, plan=plan, execution="fast").output
@@ -238,7 +247,7 @@ def test_build_target_selects_the_fused_bottleneck(
         native, "CFLAGS", ("-O3", f"-march={march}", "-shared", "-fPIC")
     )
     path = native.build(native.SOURCE.read_text(), directory=tmp_path)
-    assert hasattr(ctypes.CDLL(str(path)), "vmcu_bottleneck")
+    assert hasattr(ctypes.CDLL(str(path)), "vmcu_segment")
     assert _serves_bit_exact(path, monkeypatch).lanes == lanes
     assert f"{lanes} int32 lanes" in native.status()
 
@@ -254,3 +263,114 @@ def test_portable_pmaddwd_is_bit_exact(tmp_path, monkeypatch):
     )
     path = native.build(native.SOURCE.read_text(), directory=tmp_path)
     assert _serves_bit_exact(path, monkeypatch).lanes == 4
+
+
+#: served in a spawned interpreter over a sanitized build of the leaves:
+#: both models at B=3 through Session.run_batch, a few random chains of
+#: every stage kind, and the standalone depthwise, each bit-exact
+#: against "fast"; exits nonzero on a mismatch, and the sanitizers abort
+#: on any memory error or undefined behaviour
+SANITIZED_SERVING = r"""
+import ctypes
+import sys
+
+import numpy as np
+
+from repro.kernels import get_execution_backend, native
+from repro.kernels.native import pack_i16_pairs
+
+native._loaded = (native._Leaves(ctypes.CDLL(sys.argv[1])), "sanitized")
+
+import repro
+from repro.graph.models import build_classifier_graph, build_network_graph
+from repro.mcu.device import STM32F767ZI
+from repro.quant import quantize_multiplier
+from tests.kernels.test_turbo_backend import random_chain, segment_calls
+
+rng = np.random.default_rng(0)
+
+
+def feeds(compiled):
+    return {
+        name: rng.integers(
+            -128, 128, compiled.graph.tensors[name].spec.shape, np.int8
+        )
+        for name in compiled.graph.inputs
+    }
+
+
+# opening a session and deriving a template run every stage on its own
+# (one-row segments); the stacked passes below are then one call each
+models = [
+    repro.compile(build_classifier_graph("vww")),
+    repro.compile(build_network_graph("imagenet"), device=STM32F767ZI),
+]
+sessions = [compiled.serve() for compiled in models]
+chains = [
+    (9, 8, [("pw", 2, 17), ("bn", 3, 40, None, (1, 1, 1)),
+            ("bn", 2, 8, 5, (1, 2, 1))], 1000),
+    (7, 3, [("bn", 7, 17, 16, (2, 1, 1)), ("pw", 1, 33)], 10),
+    (8, 17, [("bn", 5, 3, None, (1, 1, 1)), ("pw", 2, 1)], None),
+]
+turbo, fast = get_execution_backend("turbo"), get_execution_backend("fast")
+pipes = []
+for hw, c, body, classes in chains:
+    pipe = random_chain(rng, hw, c, body, classes)
+    plan = pipe.plan()
+    turbo.pipeline_template(pipe, plan)
+    pipes.append((pipe, plan, hw, c))
+with segment_calls() as calls:
+    for compiled, session in zip(models, sessions):
+        requests = [feeds(compiled) for _ in range(3)]
+        for req, res in zip(requests, session.run_batch(requests)):
+            want = compiled.run(feeds=req, execution="fast").output
+            assert np.array_equal(res.output, want), compiled.graph.name
+    for pipe, plan, hw, c in pipes:
+        xs = [rng.integers(-128, 128, (hw, hw, c), np.int8) for _ in range(3)]
+        for a, b in zip(turbo.run_pipeline_batch(pipe, plan, xs),
+                        fast.run_pipeline_batch(pipe, plan, xs)):
+            assert np.array_equal(a.output, b.output), plan
+assert len(calls) == 1 + 2 + len(chains), len(calls)
+xb = rng.integers(-128, 128, (2, 9, 13, 33), np.int8)
+wd = rng.integers(-128, 128, (5, 5, 33), np.int8)
+mult = quantize_multiplier(0.02)
+assert np.array_equal(
+    native.leaves().depthwise(xb, pack_i16_pairs(wd, 0), mult, 2, 2),
+    fast._depthwise_batch(xb, wd, mult, 2, 2),
+)
+print("sanitized serving bit-exact")
+"""
+
+
+def test_sanitized_build_serves_bit_exact(tmp_path):
+    """The leaves built with AddressSanitizer and UBSan serve both models,
+    mixed chains and the standalone depthwise without a report."""
+    cc = shutil.which(native.COMPILER)
+    if cc is None:
+        pytest.skip(f"no {native.COMPILER} on PATH")
+    runtime = subprocess.run(
+        [cc, "-print-file-name=libasan.so"], capture_output=True, text=True,
+        check=False,
+    ).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("no libasan for this compiler")
+    lib = tmp_path / "native-sanitized.so"
+    subprocess.run(
+        [cc, *native.CFLAGS, "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", str(native.SOURCE), "-o", str(lib)],
+        check=True, timeout=native.COMPILE_TIMEOUT_S,
+    )
+    root = Path(__file__).resolve().parents[2]
+    env = dict(
+        os.environ,
+        LD_PRELOAD=runtime,
+        ASAN_OPTIONS="detect_leaks=0",
+        PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SANITIZED_SERVING, str(lib)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert "sanitized serving bit-exact" in proc.stdout

@@ -139,15 +139,31 @@ def fused_bottleneck_expected() -> bool:
 
 @contextmanager
 def fused_calls():
-    """Count the calls of the native fused bottleneck leaf."""
+    """Count the calls of the native fused bottleneck leaf on its own: a
+    one-row segment whose row is a bottleneck."""
     calls = []
-    real = native._Leaves.bottleneck
+    real = native._Leaves.segment
+
+    def counting(self, table, *args):
+        if len(table.rows) == 1 and table.rows[0, 0] == native._BOTTLENECK:
+            calls.append(1)
+        return real(self, table, *args)
+
+    with mock.patch.object(native._Leaves, "segment", counting):
+        yield calls
+
+
+@contextmanager
+def segment_calls():
+    """Count the calls of the native segment pass."""
+    calls = []
+    real = native._Leaves.segment
 
     def counting(self, *args):
         calls.append(1)
         return real(self, *args)
 
-    with mock.patch.object(native._Leaves, "bottleneck", counting):
+    with mock.patch.object(native._Leaves, "segment", counting):
         yield calls
 
 
@@ -440,12 +456,14 @@ class TestTurboParity:
         )
         plan = pipe.plan()
         xs = [random_int8(rng, (hw, hw, c_in)) for _ in range(batch)]
+        backend = get_execution_backend("turbo")
+        # the cost template's dry run first: it runs the per-stage leaves
         with fused_calls() as calls:
-            turbo = get_execution_backend("turbo").run_pipeline_batch(
-                pipe, plan, xs
-            )
-        # (a new plan's cost-template dry run is one more call)
+            backend.pipeline_template(pipe, plan)
         assert bool(calls) == fused_bottleneck_expected()
+        with segment_calls() as calls:
+            turbo = backend.run_pipeline_batch(pipe, plan, xs)
+        assert len(calls) == int(fused_bottleneck_expected())
         fast = get_execution_backend("fast").run_pipeline_batch(
             pipe, plan, xs
         )
@@ -543,3 +561,144 @@ class TestTurboParity:
             np.testing.assert_array_equal(res.output, fast.output)
             for tr, fr in zip(res.stage_runs, fast.stage_runs):
                 assert_runs_match(tr, fr)
+
+
+# --------------------------------------------------------------------------- #
+# the native segment pass
+# --------------------------------------------------------------------------- #
+#: a body stage: ("pw", stride, c_out) or ("bn", k, c_mid, c_out, strides)
+#: where c_out None keeps the channels, so unit strides and an odd k give
+#: the residual add
+BODY_STAGE = st.one_of(
+    st.tuples(
+        st.just("pw"), st.sampled_from([1, 2]),
+        st.sampled_from([1, 3, 5, 16, 17, 33]),
+    ),
+    st.tuples(
+        st.just("bn"), st.sampled_from([2, 3, 5, 7]),
+        st.sampled_from([3, 8, 17, 40]),
+        st.sampled_from([None, 5, 16]),
+        st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 2, 2)]),
+    ),
+)
+
+
+def random_chain(rng, hw, c, body, classes):
+    """A pipeline of the drawn body stages (bottlenecks that cannot fuse
+    at their place in the chain are left out), then, with ``classes``,
+    the average pool and a dense head."""
+    pipe = Pipeline(hw, c)
+
+    def mult():
+        return quantize_multiplier(float(rng.uniform(1e-3, 0.05)))
+
+    for i, stage in enumerate(body):
+        if stage[0] == "pw":
+            _, stride, c_out = stage
+            pipe.add(
+                PointwiseStage(
+                    f"pw{i}", random_int8(rng, (c, c_out)), mult(),
+                    stride=stride,
+                )
+            )
+            hw, c = (hw - 1) // stride + 1, c_out
+            continue
+        _, k, c_mid, c_out, strides = stage
+        spec = BottleneckSpec(
+            name=f"b{i}", hw=hw, c_in=c, c_mid=c_mid, c_out=c_out or c,
+            kernel=k, strides=strides,
+        )
+        if not spec.fusable():
+            continue
+        pipe.add(
+            BottleneckStage(
+                spec.name, c_mid=c_mid, c_out=spec.c_out, kernel=k,
+                w_expand=random_int8(rng, (c, c_mid)),
+                w_dw=random_int8(rng, (k, k, c_mid)),
+                w_project=random_int8(rng, (c_mid, spec.c_out)),
+                mults=(mult(), mult(), mult()), strides=strides,
+            )
+        )
+        hw, c = spec.spatial_out(), spec.c_out
+    if classes:
+        pipe.add(GlobalAvgPoolStage("gap", quantize_multiplier(0.01)))
+        pipe.add(DenseStage("head", random_int8(rng, (c, classes)), mult()))
+    return pipe
+
+
+class TestSegmentPass:
+    @given(
+        hw=st.integers(3, 9),
+        c=st.sampled_from([1, 3, 8, 17, 24]),
+        body=st.lists(BODY_STAGE, min_size=1, max_size=4),
+        classes=st.sampled_from([None, 1, 10, 1000]),
+        batch=st.sampled_from([1, 3, 8]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_chains_match_fast(
+        self, hw, c, body, classes, batch, seed
+    ):
+        """Chains of every stage kind in one native call, with and
+        without a binding: pointwise at stride 1 and 2, bottlenecks with
+        and without the residual, odd channel counts and counts off the
+        16-lane blocks, dense heads up to 1000 classes."""
+        rng = np.random.default_rng(seed)
+        pipe = random_chain(rng, hw, c, body, classes)
+        if not pipe.stages:
+            return
+        plan = pipe.plan()
+        xs = [random_int8(rng, (hw, hw, c)) for _ in range(batch)]
+        backend = get_execution_backend("turbo")
+        backend.pipeline_template(pipe, plan)
+        binding = backend.bind(pipe, plan)
+        fast = get_execution_backend("fast").run_pipeline_batch(
+            pipe, plan, xs
+        )
+        for kw in ({}, {"binding": binding}):
+            with segment_calls() as calls:
+                turbo = backend.run_pipeline_batch(pipe, plan, xs, **kw)
+            assert len(calls) == int(native.leaves() is not None)
+            for tr, fr in zip(turbo, fast):
+                np.testing.assert_array_equal(tr.output, fr.output)
+                for a, b in zip(tr.stage_runs, fr.stage_runs):
+                    assert_runs_match(a, b)
+
+    def test_each_stage_output_is_its_own_array(self, leaves):
+        """A kept response pins only its own stage's batch array."""
+        rng = np.random.default_rng(12)
+        pipe = random_chain(
+            rng, 6, 8, [("pw", 1, 16), ("bn", 3, 24, None, (1, 1, 1))], 10
+        )
+        plan = pipe.plan()
+        xs = [random_int8(rng, (6, 6, 8)) for _ in range(3)]
+        res = get_execution_backend("turbo").run_pipeline_batch(
+            pipe, plan, xs
+        )
+        bases = [run.output.base for run in res[0].stage_runs]
+        assert len({id(b) for b in bases}) == len(bases)
+        for base in bases:
+            assert base.flags.owndata
+            assert base.shape[0] == len(xs)
+
+    def test_table_rejects_a_broken_chain(self, leaves):
+        mult = MULT
+        w = pack_i16_pairs(np.ones((8, 16), np.int8), 0)
+        first = native.pointwise_stage(4, 4, 8, 16, 1, w, mult)
+        second = native.pointwise_stage(4, 4, 8, 16, 1, w, mult)
+        with pytest.raises(ShapeError, match="cannot feed"):
+            native.SegmentTable([first, second])
+        with pytest.raises(ShapeError):  # packed for 16 outputs, not 32
+            native.pointwise_stage(4, 4, 8, 32, 1, w, mult)
+        table = native.SegmentTable([first])
+        with pytest.raises(ShapeError):
+            leaves.segment(table, np.zeros((2, 4, 4, 9), np.int8))
+        with pytest.raises(ShapeError):
+            leaves.segment(table, np.zeros((2, 4, 4, 8), np.int16))
+        with pytest.raises(ShapeError):  # as many elements, but not HWC
+            leaves.segment(table, np.zeros((2, 16, 8), np.int8))
+        # a dense stage reads its rows from any shape of that many
+        # elements (tests/serving/test_segment_binding.py), only those
+        dense = native.SegmentTable([native.dense_stage(1, 8, 16, w, mult)])
+        with pytest.raises(ShapeError):
+            leaves.segment(dense, np.zeros((2, 9), np.int8))
