@@ -610,10 +610,10 @@ def bench_storm(smoke: bool, repeats: int):
 
     Three replays of the 4-tenant storm trace through
     :func:`repro.eval.experiments.storm_trial` — a clean baseline, the
-    ``"mixed"`` storm (tenant-scoped poison + pool-child kill +
-    brownout) against a resilient fleet (bounded retries under a
-    fleet-wide retry budget, hair-trigger breaker, model-driven
-    autoscaling), and a ``keep_outputs=False`` determinism rerun.  All
+    ``"mixed"`` storm (tenant-scoped poison + brownout) against a
+    resilient fleet (bounded retries under a fleet-wide retry budget,
+    hair-trigger breaker, model-driven autoscaling), and a
+    ``keep_outputs=False`` determinism rerun.  All
     gates are deterministic — a chaos replay is a pure function of
     ``(trace_seed, storm_seed)`` — so they are hard in smoke too:
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import CompileError
+from repro.errors import CompileError, ShapeError
 from repro.graph.graph import Graph
 from repro.kernels.base import KernelRun, get_execution_backend
 from repro.mcu.device import DeviceProfile, STM32F411RE
@@ -172,6 +172,24 @@ class CompiledModel:
         """Whether the compiled plan fits the target device's SRAM."""
         return self.device.fits(self.footprint_bytes)
 
+    def check_feed(self, name: str, x) -> np.ndarray:
+        """``x`` as an array, if it is int8 and of graph input ``name``'s
+        declared shape; else :class:`~repro.errors.ShapeError` naming the
+        feed, that shape and the dtype and shape received.
+
+        ``run``, ``Session.run_batch`` and the dispatcher's admission
+        check all call it: the backends read a dense-led segment's
+        request of the right element count in any shape.
+        """
+        arr = np.asarray(x)
+        shape = tuple(self.graph.tensors[name].spec.shape)
+        if arr.dtype != np.int8 or arr.shape != shape:
+            raise ShapeError(
+                f"feed {name!r} must be int8{list(shape)}, "
+                f"got {arr.dtype}{list(arr.shape)}"
+            )
+        return arr
+
     # ------------------------------------------------------------------ #
     def run(
         self,
@@ -205,8 +223,8 @@ class CompiledModel:
             if name not in feeds:
                 raise CompileError(f"missing feed for input {name!r}")
             res = seg.pipeline.run(
-                np.asarray(feeds[name]), plan=seg.plan, strict=strict,
-                execution=execution,
+                self.check_feed(name, feeds[name]), plan=seg.plan,
+                strict=strict, execution=execution,
             )
             out_name = seg.lowered.output_name
             # the runtime keeps a [1, N] row for the dense head; the graph

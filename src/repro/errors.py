@@ -173,9 +173,9 @@ class InjectedFaultError(ReproError):
         super().__init__(f"{message} at injection point {site!r}")
 
     def __reduce__(self):
-        # raised inside process-pool children and re-raised in the
-        # parent; the default exception pickling would re-call
-        # __init__ with the formatted string as the site
+        # keeps the exception picklable (for a caller that ships it
+        # across processes): the default exception pickling would
+        # re-call __init__ with the formatted string as the site
         return (type(self), (self.site, self.message))
 
 

@@ -841,19 +841,16 @@ def chaos_serving(
     Two phases over the VWW classifier, driven by a deterministic
     :class:`~repro.serving.FaultPlan` (every poisoned-or-not decision is
     a pure hash of ``(seed, site, key)``, so the same requests are
-    poisoned on every run and in every process):
+    poisoned on every run):
 
     1. **storm** — ``fault_rate`` of requests are poisoned at the
        ``"dispatch.request"`` injection point (they fail on every
-       attempt), one worker thread is crashed mid-flood
-       (``"worker.loop"``), and — when fork pools are available — one
-       process-pool child is killed with ``os._exit`` while holding a
-       batch (``"process.child"``, transient: its quarantine re-run
-       succeeds).  The acceptance bar: *only* the poisoned requests
-       fail (quarantine shields their co-batched neighbours),
+       attempt) and one worker thread is crashed mid-flood
+       (``"worker.loop"``).  The acceptance bar: *only* the poisoned
+       requests fail (quarantine shields their co-batched neighbours),
        ``admitted == completed + failed + shed`` balances, and the
-       crash/pool-rebuild/quarantine events all land in the control
-       plane's audit trail;
+       crash/quarantine events all land in the control plane's audit
+       trail;
     2. **degrade** — a finite budget of ``"backend.turbo"`` faults
        trips the per-tenant circuit breaker (threshold 2): batches
        degrade to the ``"fast"`` backend, cooldown probes re-try
@@ -863,10 +860,9 @@ def chaos_serving(
 
     Every successful output in both phases is checked bit-identical to
     per-call ``execution="fast"`` (parity-locked to ``"simulate"``) —
-    quarantine re-runs, pool rebuilds and backend degradation change
-    wall clock and routing, never bits.
+    quarantine re-runs and backend degradation change wall clock and
+    routing, never bits.
     """
-    import multiprocessing
     import time
 
     import numpy as np
@@ -891,11 +887,6 @@ def chaos_serving(
         rng.integers(-128, 128, size=shape, dtype=np.int8) for _ in range(4)
     ]
     refs = [cm.run(x, execution="fast").output for x in pool]
-    worker_mode = (
-        "process"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else "thread"
-    )
 
     # ---- phase 1: the storm ----------------------------------------- #
     specs = [FaultSpec(site="dispatch.request", rate=fault_rate)]
@@ -911,23 +902,9 @@ def chaos_serving(
             FaultSpec(site="dispatch.request", keys=(n_requests // 2,))
         )
         poisoned = {n_requests // 2}
-    victim = next(i for i in range(n_requests) if i not in poisoned)
     specs.append(
         FaultSpec(site="worker.loop", kind="crash", keys=(0,), max_fires=1)
     )
-    if worker_mode == "process":
-        # kill the pool child that picks up the victim's batch; the
-        # fault is transient (fail_attempts=1) so the quarantine re-run
-        # against the rebuilt pool succeeds
-        specs.append(
-            FaultSpec(
-                site="process.child",
-                kind="exit",
-                keys=(victim,),
-                fail_attempts=1,
-                max_fires=1,
-            )
-        )
     plan = FaultPlan(seed=seed, specs=tuple(specs))
 
     tenants = ("acme", "globex")
@@ -941,7 +918,6 @@ def chaos_serving(
         batch_timeout_s=0.0,
         retry=RetryPolicy(max_attempts=3),
         supervise_interval_s=0.01,
-        process_result_timeout_s=2.0,
     )
     submitted = {t: 0 for t in tenants}
     ok = {t: 0 for t in tenants}
@@ -950,7 +926,6 @@ def chaos_serving(
     with Dispatcher(
         {t: cm for t in tenants},
         workers=workers,
-        worker_mode=worker_mode,
         config=cfg,
         faults=plan,
     ) as dispatcher:
@@ -983,9 +958,6 @@ def chaos_serving(
         storm.submitted == storm.completed + storm.failed + storm.shed
     )
     crash_audited = "crash" in kinds and storm.worker_crashes >= 1
-    pool_audited = worker_mode != "process" or (
-        "pool" in kinds and storm.pool_rebuilds >= 1
-    )
 
     def storm_row(tenant):
         ts = storm.per_tenant[tenant]
@@ -1006,7 +978,6 @@ def chaos_serving(
         and contained
         and balanced
         and crash_audited
-        and pool_audited
     )
     rows = [storm_row(t) for t in tenants]
     rows.append(
@@ -1094,21 +1065,15 @@ def chaos_serving(
         "Phase", "Tenant", "Req", "OK", "Failed", "Quar", "p95 ms", "Exact",
     ]
     notes = [
-        f"storm: {worker_mode} mode, {workers} workers, seed {seed}, "
+        f"storm: {workers} workers, seed {seed}, "
         f"{100 * fault_rate:.0f}% request poison (seqs "
-        f"{sorted(poisoned)}), 1 worker crash"
-        + (
-            f", 1 pool-child kill (seq {victim}, transient)"
-            if worker_mode == "process"
-            else ""
-        ),
+        f"{sorted(poisoned)}), 1 worker crash",
         f"containment: failed seqs {sorted(s for f in fail_seqs.values() for s in f)} "
         f"== poisoned seqs ({'yes' if contained else 'NO'}); balance: "
         f"{storm.submitted} submitted == {storm.completed} completed + "
         f"{storm.failed} failed + {storm.shed} shed "
         f"({'yes' if balanced else 'NO'})",
         f"storm audit: {kinds.count('crash')} crash, "
-        f"{kinds.count('pool')} pool rebuild, "
         f"{kinds.count('quarantine')} quarantine event(s); "
         f"{storm.quarantined} request(s) quarantined, "
         f"{storm.retries} backoff retries",
@@ -1118,7 +1083,7 @@ def chaos_serving(
         f"{degr_failed} failed request(s), breaker "
         f"{'closed' if not degr.degraded else 'OPEN'} at exit",
         "every successful output bit-exact vs per-call execution='fast' "
-        "— quarantine, pool rebuilds and degradation never touch bits",
+        "— quarantine and degradation never touch bits",
     ]
     return headers, rows, notes
 
@@ -1374,8 +1339,8 @@ def storm_suite(horizon_s: float = 1800.0):
     Each exercises a different failure surface: pure request poison
     (containment + availability), brownout + worker crashes (breaker
     degradation + supervisor + fault-headroom autoscaling, zero
-    failures), and a mixed storm layering tenant-scoped poison, a
-    pool-child kill and a brownout.
+    failures), and a mixed storm layering tenant-scoped poison and a
+    brownout.
     """
     from repro.fleet import StormPhase, StormSpec
 
@@ -1419,11 +1384,6 @@ def storm_suite(horizon_s: float = 1800.0):
                     duration_s=0.10 * h,
                     rate=0.08,
                     tenants=("alpha", "beta"),
-                ),
-                StormPhase(
-                    kind="pool_kill",
-                    onset_s=0.55 * h,
-                    duration_s=0.10 * h,
                 ),
                 StormPhase(
                     kind="brownout",
@@ -1473,7 +1433,6 @@ def storm_trial(
     window_s: float = 150.0,
     workers: int = 2,
     trace_seed: int = 77,
-    worker_mode: str = "thread",
     keep_outputs: bool = True,
     trace=None,
     compiled=None,
@@ -1501,7 +1460,6 @@ def storm_trial(
         workers=workers,
         window_s=window_s,
         max_queue_depth=65_536,
-        worker_mode=worker_mode,
         keep_outputs=keep_outputs,
     )
     result = replay(
@@ -1542,10 +1500,9 @@ def storm_eval(
     * **self-healing** — the live worker count ends within +/-1 of the
       capacity planner's target.
 
-    The notes add the determinism anchors: an identical failed set and
+    The notes add the determinism anchor: an identical failed set and
     outputs digest on a rerun with ``keep_outputs=False`` (histogram
-    telemetry, no stored tensors), and an identical failed set under
-    ``worker_mode="process"``.
+    telemetry, no stored tensors).
     """
     from repro.compiler import PlanCache
     from repro.fleet import generate_trace
@@ -1645,9 +1602,9 @@ def storm_eval(
             f"MTTR {mttr}, MTBF {mtbf}; {report.summary()}"
         )
 
-    # determinism anchors: rerun the poison storm without stored outputs
-    # (histogram telemetry) and under process workers; the failed set and
-    # the digest fold must not move
+    # determinism anchor: rerun the poison storm without stored outputs
+    # (histogram telemetry); the failed set and the digest fold must not
+    # move
     name0 = "poison-burst"
     plan0, res0 = results[name0]
     _, _, rerun = storm_trial(
@@ -1662,20 +1619,6 @@ def storm_eval(
         f"(histogram windows, no tensors kept) — failed set and outputs "
         f"digest {res0.outputs_digest()} identical: "
         f"{'PASS' if rerun_ok else 'FAIL'}"
-    )
-    namep = "mixed"
-    planp, resp = results[namep]
-    _, _, proc = storm_trial(
-        storm=storms[namep], worker_mode="process", **common
-    )
-    proc_ok = (
-        proc.failed_indices() == resp.failed_indices()
-        and proc.outputs_digest() == resp.outputs_digest()
-    )
-    notes.append(
-        f"worker modes: '{namep}' replayed under worker_mode='process' "
-        f"(pool-child kill live) — failed set and outputs digest "
-        f"identical to thread mode: {'PASS' if proc_ok else 'FAIL'}"
     )
     notes.extend([
         f"trace: digest {trace.digest()}, {len(trace)} requests over "

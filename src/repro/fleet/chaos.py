@@ -4,9 +4,9 @@ PR 7 made individual faults expressible (:mod:`repro.serving.faults`)
 and PR 8 made a fleet replayable (:mod:`repro.fleet.replay`); this
 module composes the two.  A :class:`StormSpec` is a *declarative,
 phased* description of a fault storm in trace virtual time — request
-poison over an onset/duration window, worker crashes, pool-child
-kills, backend brown-outs — and :func:`build_storm_plan` compiles it
-against a concrete :class:`~repro.fleet.trace.Trace` into:
+poison over an onset/duration window, worker crashes, backend
+brown-outs — and :func:`build_storm_plan` compiles it against a
+concrete :class:`~repro.fleet.trace.Trace` into:
 
 * a :class:`~repro.serving.faults.FaultPlan` the replay harness hands
   to the dispatcher, and
@@ -20,8 +20,8 @@ directly onto ``trace.arrival_s`` and every per-request decision is a
 pure :func:`~repro.serving.faults.stable_uniform` draw over
 ``(storm_seed, phase, seq)``.  A chaos replay is therefore a pure
 function of ``(trace_seed, storm_seed)``: the same failed-request set
-falls out across dilations, worker counts and thread/process worker
-modes, which is exactly what the availability gates assert.
+falls out across dilations and worker counts, which is exactly what the
+availability gates assert.
 
 Phase kinds and their fault mapping:
 
@@ -39,11 +39,6 @@ Phase kinds and their fault mapping:
     by ``budget``).  Worker crashes cannot be time-gated — the site
     fires on the worker's next loop pass — so ``onset_s`` is advisory
     for this kind; the supervisor respawns and no ticket is lost.
-``"pool_kill"``
-    A ``"process.child"`` hard-exit against one non-poisoned in-window
-    victim request (``fail_attempts=1``, so the rebuilt pool serves it
-    on the quarantine re-run).  A no-op under thread workers, which is
-    what keeps the failed set identical across worker modes.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ __all__ = [
 ]
 
 #: the phase kinds a storm may compose
-PHASE_KINDS = ("poison", "crash", "pool_kill", "brownout")
+PHASE_KINDS = ("poison", "crash", "brownout")
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ class StormPhase:
     workers:
         Worker ids a ``"crash"`` phase targets.
     budget:
-        ``max_fires`` cap for ``crash`` / ``pool_kill`` / ``brownout``
+        ``max_fires`` cap for ``crash`` / ``brownout``
         — the storm clears on its own after this many fires.
     """
 
@@ -228,27 +223,17 @@ def build_storm_plan(trace: Trace, storm: StormSpec) -> StormPlan:
     """
     storm.validate()
 
-    # poison selections first: pool_kill victims must avoid them so the
-    # expected-failed set stays exactly the poison set
     poisoned: set[int] = set()
-    poison_keys: dict[int, tuple[int, ...]] = {}
-    for p, phase in enumerate(storm.phases):
-        if phase.kind != "poison":
-            continue
-        seqs = _window_seqs(trace, phase)
-        chosen = tuple(
-            int(s)
-            for s in seqs
-            if stable_uniform(storm.storm_seed, "storm.poison", p, int(s))
-            < phase.rate
-        )
-        poison_keys[p] = chosen
-        poisoned.update(chosen)
-
     specs: list[FaultSpec] = []
     for p, phase in enumerate(storm.phases):
         if phase.kind == "poison":
-            keys = poison_keys[p]
+            keys = tuple(
+                int(s)
+                for s in _window_seqs(trace, phase)
+                if stable_uniform(storm.storm_seed, "storm.poison", p, int(s))
+                < phase.rate
+            )
+            poisoned.update(keys)
             if keys:
                 specs.append(
                     FaultSpec(
@@ -269,26 +254,6 @@ def build_storm_plan(trace: Trace, storm: StormSpec) -> StormPlan:
                     message=f"storm crash phase {p}",
                 )
             )
-        elif phase.kind == "pool_kill":
-            victim = next(
-                (
-                    int(s)
-                    for s in _window_seqs(trace, phase)
-                    if int(s) not in poisoned
-                ),
-                None,
-            )
-            if victim is not None:
-                specs.append(
-                    FaultSpec(
-                        site="process.child",
-                        kind="exit",
-                        keys=(victim,),
-                        fail_attempts=1,
-                        max_fires=phase.budget,
-                        message=f"storm pool_kill phase {p}",
-                    )
-                )
         elif phase.kind == "brownout":
             seqs = _window_seqs(trace, phase)
             if len(seqs):

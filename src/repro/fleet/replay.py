@@ -98,9 +98,6 @@ class ReplayConfig:
     #: first trace window measures steady state rather than cold weight
     #: packing / BLAS warm-up
     warmup: bool = True
-    #: dispatcher worker mode (``"thread"`` or ``"process"``); chaos
-    #: determinism is asserted across both
-    worker_mode: str = "thread"
 
     def validate(self) -> None:
         if self.dilation <= 0:
@@ -114,11 +111,6 @@ class ReplayConfig:
         if self.window_s <= 0:
             raise ServingError(
                 f"window_s must be positive, got {self.window_s}"
-            )
-        if self.worker_mode not in ("thread", "process"):
-            raise ServingError(
-                f"unknown worker_mode {self.worker_mode!r}; "
-                "use 'thread' or 'process'"
             )
 
 
@@ -359,7 +351,6 @@ def replay(
     dispatcher = Dispatcher(
         dict(compiled),
         workers=config.workers,
-        worker_mode=config.worker_mode,
         execution=config.execution,
         config=fleet if fleet is not None else fleet_config(trace, config),
         plan_cache=plan_cache,

@@ -358,8 +358,10 @@ def _serving_locks() -> tuple[threading.Lock, ...]:
     ``fork()`` copies a mutex held by another thread into the child in
     its locked state, where no thread will ever release it — the first
     ``cached_pack`` or template lookup in the child would then deadlock.
-    The process-mode dispatcher forks worker pools, so fork must happen
-    at a quiescent point for these locks: the before-handler acquires
+    A caller may fork while serving threads run — a ``multiprocessing``
+    pool under the ``"fork"`` start method (Linux's default before
+    Python 3.14) does — so fork must happen at a quiescent point for
+    these locks: the before-handler acquires
     them (waiting out any in-flight serving work, including a one-time
     native build), and both after-handlers release them again.  The
     template lock comes first because a template derivation packs

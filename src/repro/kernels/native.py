@@ -480,8 +480,8 @@ class _Leaves:
 
 
 #: guards the one-time build-and-load below; named in
-#: ``kernels.base._serving_locks`` so a fork mid-build cannot leave it
-#: locked in the child
+#: ``kernels.base._serving_locks`` so a caller forking while another
+#: thread builds cannot leave it locked in the child
 _LOCK = threading.Lock()
 #: (leaves or None, status line) once this process has tried to load
 _loaded: tuple[_Leaves | None, str] | None = None

@@ -33,12 +33,12 @@ The **resilience layer** keeps the fleet honest under failure: a
 seedable :class:`FaultPlan` injects reproducible faults at named points
 (:mod:`repro.serving.faults`), the dispatcher quarantines poison
 requests so innocent co-batched tickets still succeed, a supervisor
-respawns crashed workers and rebuilds broken process pools, and a
-per-(tenant, backend) :class:`CircuitBreaker` degrades a failing
-``"turbo"`` session to ``"fast"`` — bit-exact by construction, so
-degradation is invisible to outputs — then probes its
-way back after cooldown.  Every crash, restart and degradation is an
-audited event in the control plane's trail.
+respawns crashed worker threads, and a per-(tenant, backend)
+:class:`CircuitBreaker` degrades a failing ``"turbo"`` session to
+``"fast"`` — bit-exact by construction, so degradation is invisible to
+outputs — then probes its way back after cooldown.  Every crash,
+restart and degradation is an audited event in the control plane's
+trail.
 
 Outputs and per-request cost reports stay bit-identical to
 ``execution="simulate"`` under any interleaving — batching, sharding,

@@ -19,7 +19,7 @@ replays open:
   can demand steady-state availability outside the storm and bounded
   burn inside it.
 * :func:`repair_metrics` — MTTR/MTBF derived from the dispatcher's
-  audit trail (crash / pool-rebuild / degrade / restore events), the
+  audit trail (crash / degrade / restore events), the
   classic reliability pair production reviews ask for.
 """
 
@@ -280,7 +280,7 @@ def availability_report(
 # MTTR / MTBF from the audit trail
 # --------------------------------------------------------------------------- #
 #: audit kinds that mark a failure onset
-_FAILURE_KINDS = frozenset({"crash", "pool", "degrade"})
+_FAILURE_KINDS = frozenset({"crash", "degrade"})
 
 _TENANT_RE = re.compile(r"tenant '([^']+)'")
 
@@ -291,8 +291,8 @@ class RepairMetrics:
 
     MTTR pairs each ``degrade`` with the next ``restore`` for the same
     tenant (the only failure class whose recovery is a *separate*
-    audited event — crash respawns and pool rebuilds are logged at
-    recovery time, repair already done).  MTBF is the mean gap between
+    audited event — crash respawns are logged at recovery time, repair
+    already done).  MTBF is the mean gap between
     consecutive failure-onset events of any kind; with fewer than two
     failures it falls back to ``horizon_s`` over the failure count.
     """
@@ -326,8 +326,8 @@ def repair_metrics(
                 tenant = _tenant_of(change) or ""
                 open_degrades.setdefault(tenant, []).append(change.at_s)
             else:
-                # crash/pool records land at recovery time: the repair
-                # is already done, observable repair span ~ 0
+                # crash records land at recovery time: the repair is
+                # already done, observable repair span ~ 0
                 repairs += 1
         elif change.kind == "restore":
             tenant = _tenant_of(change) or ""

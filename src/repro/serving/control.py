@@ -217,9 +217,6 @@ class FleetConfig:
     breaker_cooldown_s: float = 0.5
     #: supervisor sweep period (dead-worker detection and respawn)
     supervise_interval_s: float = 0.05
-    #: how long the parent waits on one process-pool result before
-    #: declaring the child dead and rebuilding the pool
-    process_result_timeout_s: float = 120.0
     #: fleet-wide retry budget: retries beyond the mandatory quarantine
     #: isolation run may never exceed ``retry_budget_burst +
     #: retry_budget_ratio x admitted`` (0.0 = no budgeted retries)
@@ -310,11 +307,6 @@ class FleetConfig:
                 f"supervise_interval_s must be positive, "
                 f"got {self.supervise_interval_s}"
             )
-        if not self.process_result_timeout_s > 0:
-            raise ConfigError(
-                f"process_result_timeout_s must be positive, "
-                f"got {self.process_result_timeout_s}"
-            )
         if not (0.0 <= self.retry_budget_ratio <= 1.0):
             raise ConfigError(
                 f"retry_budget_ratio must be in [0, 1], "
@@ -364,7 +356,6 @@ class FleetConfig:
             "retry_budget_burst", "autoscale_mode", "autoscale_hit_rate",
             "fault_headroom", "breaker_threshold",
             "breaker_cooldown_s", "supervise_interval_s",
-            "process_result_timeout_s",
         ):
             a, b = getattr(old, name), getattr(self, name)
             if a != b:

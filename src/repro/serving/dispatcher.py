@@ -24,16 +24,11 @@ The scale-out layer above :class:`~repro.serving.session.Session`:
 * the **autoscaler** grows and shrinks the worker pool inside the
   config's range from queue depth and the per-tenant EWMA service
   estimates, with hysteresis; resizes land in the audit trail;
-* **workers** pop batches and dispatch them through the tenant's warmed
-  :class:`Session`.  Thread workers are the default — the hot path
-  releases the GIL for the whole native segment pass (or inside NumPy
-  and BLAS without the native leaves), so threads shard real work on
-  multicore hosts while sharing every cache.
-  ``workers="process"`` forks one worker pool instead and falls back to
-  per-request dispatch (sessions are inherited copy-on-write; children
-  return raw outputs and the parent re-attaches the shared cost
-  template).  The fork pool keeps its initial size; autoscaling moves
-  only the thread shards in front of it;
+* **workers** are threads that pop batches and dispatch them through
+  the tenant's warmed :class:`Session`.  The hot path releases the GIL
+  for the whole native segment pass (or inside NumPy and BLAS without
+  the native leaves), so threads shard real work on multicore hosts
+  while sharing every cache;
 * **tenants** are independent compiled models behind one front door.
   All of them share the process-wide (or caller-supplied)
   :class:`~repro.compiler.cache.PlanCache` — see
@@ -52,7 +47,6 @@ clock and *which* requests are shed under overload — never bits.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import threading
 import time
 import weakref
@@ -68,6 +62,7 @@ from repro.errors import (
     InjectedFaultError,
     RequestFailedError,
     ServingError,
+    ShapeError,
     WorkerCrashError,
 )
 
@@ -195,8 +190,6 @@ class DispatchStats:
     planned_workers: int | None = None
     #: worker threads the supervisor respawned after a crash
     worker_crashes: int = 0
-    #: process pools rebuilt after a child death / broken pipe
-    pool_rebuilds: int = 0
     #: tenants currently degraded by an open circuit breaker
     #: (tenant -> the fallback backend serving it right now)
     degraded: Mapping[str, str] = field(default_factory=dict)
@@ -238,26 +231,11 @@ class DispatchStats:
 
 
 # --------------------------------------------------------------------------- #
-# process-mode plumbing
+# constants and worker-thread plumbing
 # --------------------------------------------------------------------------- #
-#: dispatcher-id -> tenant sessions; populated in the parent *before* the
-#: worker pool forks, so children inherit warmed sessions copy-on-write
-#: and the IPC payload stays (feeds in, outputs out) — no model pickling.
-_PROCESS_SESSIONS: dict[int, Mapping[str, Session]] = {}
-
-#: dispatcher-id -> fault injector, registered before the pool forks so
-#: children evaluate the same plan (decisions are pure hash draws, so a
-#: request poisoned in the parent is poisoned in every child too)
-_PROCESS_INJECTORS: dict[int, "_faults.FaultInjector"] = {}
-
 #: how many recent per-request latencies each tenant's percentile window
 #: keeps; a fleet running for days must not grow stats without bound
 LATENCY_WINDOW = 4096
-
-#: default bound on one process-pool request round-trip (the live value
-#: is ``FleetConfig.process_result_timeout_s``); a dead pool child never
-#: completes its ApplyResult, so an unbounded get() would hang a worker
-PROCESS_RESULT_TIMEOUT_S = 120.0
 
 #: floor on the per-tenant Session batch cap.  Sessions are built with
 #: ``max(SESSION_BATCH_CAP, construction max_batch)`` so apply_config can
@@ -277,58 +255,18 @@ ARRIVAL_HISTORY = 2048
 SPAN_HISTORY = 512
 
 
-def _process_serve(
-    registry_key: int,
-    tenant: str,
-    feeds,
-    request_seq: int | None = None,
-    attempt: int = 0,
-    execution: str | None = None,
-):
-    """Child-side entry: run one request, return only the output tensors.
-
-    ``request_seq``/``attempt`` establish the fault-injection scope (the
-    ``"process.child"`` point fires here, keyed by the request, which is
-    how a chaos plan kills a specific child mid-flood); ``execution``
-    carries the parent-side circuit breaker's backend choice.
-    """
-    session = _PROCESS_SESSIONS[registry_key][tenant]
-    injector = _PROCESS_INJECTORS.get(registry_key)
-    if injector is None:
-        return session.run_batch([feeds], execution=execution)[0].outputs
-    with _faults.scope(
-        injector, tenant=tenant, key=request_seq, attempt=attempt
-    ):
-        _faults.perhaps("process.child")
-        return session.run_batch([feeds], execution=execution)[0].outputs
-
-
-def _finalize_dispatcher(
-    registry_key, pool_box, queue, frozen_weights, supervisor_stop
-) -> None:
+def _finalize_dispatcher(queue, supervisor_stop) -> None:
     """Tear down everything a dropped dispatcher would otherwise leak.
 
     Registered as a ``weakref.finalize`` (and invoked by ``close()``):
-    stops the supervisor, closes the queue so blocked workers drain and
-    exit, drops the fork registry entries, kills the pool, and re-thaws
-    weights frozen at fork.  Runs for abandoned dispatchers because the
-    worker and supervisor threads hold only *weak* references back to
-    the dispatcher — a bound-method thread target would pin it alive
-    forever.  ``pool_box`` is a one-slot holder rather than the pool
-    itself: a pool rebuild mid-flight swaps the slot, and the finalizer
-    must kill whatever pool is current *then*, not the one that existed
-    at construction.
+    stops the supervisor and closes the queue so blocked workers drain
+    and exit.  Runs for abandoned dispatchers because the worker and
+    supervisor threads hold only *weak* references back to the
+    dispatcher — a bound-method thread target would pin it alive
+    forever.
     """
     supervisor_stop.set()
     queue.close()
-    _PROCESS_SESSIONS.pop(registry_key, None)
-    _PROCESS_INJECTORS.pop(registry_key, None)
-    pool, pool_box[0] = pool_box[0], None
-    if pool is not None:
-        pool.terminate()
-        pool.join()
-    for w in frozen_weights:
-        w.setflags(write=True)
 
 
 def _worker_entry(
@@ -436,12 +374,8 @@ class Dispatcher:
     workers:
         Initial number of worker shards (clamped into the config's
         ``min_workers..max_workers`` range; the autoscaler moves the
-        fleet inside it afterwards).
-    worker_mode:
-        ``"thread"`` (default; shards share every cache and the native
-        leaves release the GIL) or ``"process"`` (fork a pool; per-request
-        dispatch inside each formed batch; the pool keeps its initial
-        size).
+        fleet inside it afterwards).  Each shard is a thread; they share
+        every cache, and the native leaves release the GIL.
     execution:
         Backend for every tenant session; the ``"turbo"`` default keeps
         bit-exactness while running each model segment in one native
@@ -472,7 +406,6 @@ class Dispatcher:
         models,
         *,
         workers: int = 4,
-        worker_mode: str = "thread",
         execution: str = "turbo",
         max_batch: int = 8,
         max_queue_depth: int = 256,
@@ -484,11 +417,6 @@ class Dispatcher:
     ):
         if workers <= 0:
             raise ServingError(f"need at least one worker, got {workers}")
-        if worker_mode not in ("thread", "process"):
-            raise ServingError(
-                f"unknown worker_mode {worker_mode!r}; "
-                "use 'thread' or 'process'"
-            )
         if max_batch <= 0:
             raise ServingError(f"max_batch must be positive, got {max_batch}")
         if default_deadline_s <= 0 or batch_timeout_s < 0:
@@ -510,7 +438,6 @@ class Dispatcher:
         if not models:
             raise ServingError("dispatcher needs at least one tenant model")
         self.workers = workers
-        self.worker_mode = worker_mode
         self.execution = execution
         self.plan_cache = (
             plan_cache if plan_cache is not None else DEFAULT_PLAN_CACHE
@@ -578,7 +505,6 @@ class Dispatcher:
         )
         self._planned_workers: int | None = None
         self._worker_crashes = 0
-        self._pool_rebuilds = 0
         self._unjoined_workers: tuple[int, ...] = ()
         self._closed = False
         #: per-tenant circuit breakers degrading a failing backend down
@@ -590,22 +516,11 @@ class Dispatcher:
             for t in self.sessions
         }
 
-        # one-slot pool holder: a rebuild swaps the slot in place, so
-        # the finalizer (registered once, below) always kills the
-        # *current* pool rather than the construction-time one
-        self._pool_box: list = [None]
-        self._pool_lock = threading.Lock()
-        self._frozen_weights: list[np.ndarray] = []
-        if worker_mode == "process":
-            self._pool_box[0] = self._fork_pool()
         self._supervisor_stop = threading.Event()
-        # unconditional cleanup for abandoned dispatchers (any mode):
-        # stops the supervisor, closes the queue (waking and retiring
-        # the workers), drops the fork registry entries, kills the
-        # current pool, re-thaws frozen weights
+        # unconditional cleanup for abandoned dispatchers: stops the
+        # supervisor, closes the queue (waking and retiring the workers)
         self._finalizer = weakref.finalize(
-            self, _finalize_dispatcher, id(self), self._pool_box,
-            self.queue, self._frozen_weights, self._supervisor_stop,
+            self, _finalize_dispatcher, self.queue, self._supervisor_stop
         )
         # worker-shard fleet: id -> thread, resized live by the
         # autoscaler / apply_config; `_retire_ids` is the shrink signal
@@ -628,11 +543,6 @@ class Dispatcher:
             daemon=True,
         )
         self._supervisor.start()
-
-    @property
-    def _pool(self):
-        """The current process pool (swapped in place by rebuilds)."""
-        return self._pool_box[0]
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -664,47 +574,6 @@ class Dispatcher:
             for tenant, g in graphs.items()
         }
         return cls(compiled, plan_cache=cache, **dispatcher_kwargs)
-
-    def _fork_pool(self):
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:
-            raise ServingError(
-                "workers='process' needs fork() (POSIX); "
-                "use worker_mode='thread' on this platform"
-            ) from None
-        # children must inherit the sessions (and any fault injector):
-        # register before forking.
-        # fork() copying a mutex held by *another* thread would deadlock
-        # the children; the at-fork handlers in repro.kernels.base fork
-        # at a quiescent point for every serving-path lock.
-        _PROCESS_SESSIONS[id(self)] = self.sessions
-        if self._faults is not None:
-            _PROCESS_INJECTORS[id(self)] = self._faults
-        # children serve the weights as forked, so in-place mutation in
-        # the parent can never reach them: freeze the arrays for the
-        # dispatcher's lifetime so a mutation raises at the write site
-        # instead of silently serving the pre-fork snapshot (thread
-        # workers re-pack mutated weights automatically and stay thawed)
-        from repro.runtime.pipeline import stage_weight_arrays
-
-        for session in self.sessions.values():
-            for seg in session.compiled.segments:
-                for stage in seg.pipeline.stages:
-                    for w in stage_weight_arrays(stage):
-                        if w.flags.writeable:
-                            w.setflags(write=False)
-                            self._frozen_weights.append(w)
-        try:
-            return ctx.Pool(processes=self.workers)
-        except BaseException:
-            _PROCESS_SESSIONS.pop(id(self), None)
-            _PROCESS_INJECTORS.pop(id(self), None)
-            for w in self._frozen_weights:
-                w.setflags(write=True)
-            raise
 
     # ------------------------------------------------------------------ #
     # control plane
@@ -1115,13 +984,10 @@ class Dispatcher:
                 f"{missing}"
             )
         for name in graph.inputs:
-            arr = np.asarray(feeds[name])
-            spec = graph.tensors[name].spec
-            if arr.dtype != np.int8 or tuple(arr.shape) != tuple(spec.shape):
-                raise ServingError(
-                    f"tenant {tenant!r}: feed {name!r} must be "
-                    f"int8{list(spec.shape)}, got {arr.dtype}{list(arr.shape)}"
-                )
+            try:
+                session.compiled.check_feed(name, feeds[name])
+            except ShapeError as exc:
+                raise ServingError(f"tenant {tenant!r}: {exc}") from None
         return feeds
 
     # ------------------------------------------------------------------ #
@@ -1179,10 +1045,7 @@ class Dispatcher:
         Fires the ``"dispatch.request"`` fault point once per ticket
         (keyed by request seq, so a poisoned request poisons every
         batch it lands in — the quarantine invariant), then runs the
-        batch through the pool or the tenant session under the fault
-        scope.  A process-pool transport failure (dead child → result
-        timeout, broken pipe) triggers a pool rebuild before re-raising
-        so the *next* attempt runs against a healthy pool.
+        batch through the tenant session under the fault scope.
         """
         session = self.sessions[tenant]
         injector = self._faults
@@ -1194,32 +1057,6 @@ class Dispatcher:
                     tenant=tenant,
                     attempt=attempt,
                 )
-        t0 = time.monotonic()
-        pool = self._pool
-        if pool is not None:
-            handles = [
-                pool.apply_async(
-                    _process_serve,
-                    (
-                        id(self), tenant, t.feeds, t.request_seq,
-                        attempt, execution,
-                    ),
-                )
-                for t in tickets
-            ]
-            # bounded: a dead pool child never completes its
-            # ApplyResult, and a hung get() would lose this worker
-            timeout = self.config.process_result_timeout_s
-            try:
-                outputs = [h.get(timeout) for h in handles]
-            except (
-                multiprocessing.TimeoutError, OSError, EOFError
-            ) as exc:
-                self._rebuild_pool(pool, exc)
-                raise
-            t1 = time.monotonic()
-            served = session.package_results(outputs, latency_s=t1 - t0)
-        elif injector is not None:
             with _faults.scope(
                 injector,
                 tenant=tenant,
@@ -1451,32 +1288,6 @@ class Dispatcher:
             f"{exc!r} ({len(pending)} request(s) lost)",
         )
 
-    def _rebuild_pool(self, broken, cause: BaseException) -> None:
-        """Replace a broken process pool (dead child / severed pipe).
-
-        Identity-checked under the pool lock: concurrent workers whose
-        results all timed out against the same corpse rebuild it once,
-        and latecomers see the fresh pool already in the slot.  The
-        fork registries (sessions, injector) and frozen weights are
-        dispatcher-scoped, not pool-scoped, so the new children inherit
-        the same state the originals did.
-        """
-        rebuilt = False
-        with self._pool_lock:
-            if not self._closed and self._pool_box[0] is broken:
-                broken.terminate()
-                broken.join()
-                ctx = multiprocessing.get_context("fork")
-                self._pool_box[0] = ctx.Pool(processes=self.workers)
-                rebuilt = True
-        if rebuilt:
-            with self._stats_lock:
-                self._pool_rebuilds += 1
-            self.control.record(
-                "pool",
-                f"process pool rebuilt after {cause!r}",
-            )
-
     # ------------------------------------------------------------------ #
     # lifecycle / introspection
     # ------------------------------------------------------------------ #
@@ -1519,7 +1330,6 @@ class Dispatcher:
                 retry_budget=self._retry_budget.snapshot,
                 planned_workers=self._planned_workers,
                 worker_crashes=self._worker_crashes,
-                pool_rebuilds=self._pool_rebuilds,
                 degraded={
                     t: b.fallback
                     for t, b in self._breakers.items()
@@ -1529,7 +1339,7 @@ class Dispatcher:
             )
 
     def close(self, timeout: float | None = 30.0) -> tuple[int, ...]:
-        """Drain the queue, stop the workers, release the process pool.
+        """Drain the queue, stop the workers and the supervisor.
 
         ``timeout`` is one **shared** deadline for the whole fleet, not
         a per-thread allowance (N threads each granted 30 s would make
@@ -1580,7 +1390,7 @@ class Dispatcher:
             )
             for t in leftovers:
                 t._fail(error)
-        self._finalizer()  # idempotent: registry + pool teardown
+        self._finalizer()  # idempotent: supervisor + queue teardown
         return self._unjoined_workers
 
     def __enter__(self) -> "Dispatcher":

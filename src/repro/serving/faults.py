@@ -11,14 +11,13 @@ folklore.  This module is the expression half:
   ``"dispatch.request"`` per admitted request, ``"session.run_batch"``
   in :meth:`~repro.serving.session.Session.run_batch`,
   ``"backend.fast"`` / ``"backend.turbo"`` /
-  ``"backend.turbo.gemm"`` inside the execution backends,
-  ``"worker.loop"`` in the dispatcher's worker threads and
-  ``"process.child"`` inside forked pool children;
+  ``"backend.turbo.gemm"`` inside the execution backends and
+  ``"worker.loop"`` in the dispatcher's worker threads;
 * a :class:`FaultInjector` evaluates the plan at each point.  Decisions
   are **pure hash draws** over ``(seed, site, key)`` — no mutable RNG
   state — so the same plan poisons the same request keys whether the
-  request runs co-batched, quarantined in isolation, retried, or
-  re-dispatched to a freshly forked pool child in another process;
+  request runs co-batched, quarantined in isolation or retried, on
+  whichever worker thread;
 * with no plan the whole subsystem is a no-op: every hook is a
   thread-local read and a ``None`` check.
 
@@ -26,7 +25,6 @@ Fault kinds: ``"error"`` raises
 :class:`~repro.errors.InjectedFaultError` (the poison-request /
 flaky-backend case), ``"crash"`` raises
 :class:`~repro.errors.WorkerCrashError` (kills a worker thread),
-``"exit"`` hard-exits the process (``os._exit`` — a pool-child death),
 ``"hang"`` sleeps ``hang_s`` (a stuck dependency).
 
 Deterministic helpers (:func:`stable_uniform`) are also what the retry
@@ -37,7 +35,6 @@ recovery order — replays bit-for-bit from one seed.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 import threading
 import time
@@ -69,11 +66,10 @@ SITES = (
                            # in TurboBackend._gemm, the BLAS leaf, without
                            # the native leaves
     "worker.loop",         # dispatcher worker thread, before claiming work
-    "process.child",       # forked pool child, before serving a request
 )
 
 #: fault kinds a spec may request
-KINDS = ("error", "crash", "exit", "hang")
+KINDS = ("error", "crash", "hang")
 
 
 def stable_uniform(seed: int, *parts) -> float:
@@ -98,7 +94,7 @@ class FaultSpec:
     site:
         Injection point name (one of :data:`SITES`).
     kind:
-        ``"error"`` | ``"crash"`` | ``"exit"`` | ``"hang"``.
+        ``"error"`` | ``"crash"`` | ``"hang"``.
     rate:
         Probability a matching draw fires, decided by
         :func:`stable_uniform` over ``(plan seed, site, key)`` — a key
@@ -113,9 +109,9 @@ class FaultSpec:
         *transient* faults that succeed once quarantine/retry re-runs
         the request (``None`` = permanent: fires on every attempt).
     max_fires:
-        Stop after this many fires (per process; counted by the
-        injector).  Models a fault that clears on its own — e.g. a
-        backend brown-out the circuit breaker should probe back from.
+        Stop after this many fires (counted by the injector).  Models
+        a fault that clears on its own — e.g. a backend brown-out the
+        circuit breaker should probe back from.
     hang_s:
         Sleep duration for ``kind="hang"``.
     message:
@@ -174,9 +170,9 @@ class FaultSpec:
 class FaultPlan:
     """A seed plus the declared faults — the whole chaos scenario.
 
-    Immutable and cheap to share: the dispatcher, its sessions and every
-    forked pool child evaluate the same plan and reach the same
-    decisions for the same keys.
+    Immutable and cheap to share: the dispatcher and its sessions
+    evaluate the same plan and reach the same decisions for the same
+    keys.
     """
 
     seed: int = 0
@@ -205,8 +201,8 @@ class FaultInjector:
     Thread-safe; the only mutable state is the fire counters (used for
     ``max_fires`` bookkeeping and surfaced via :attr:`counts`).  The
     *decision* for a (site, key) pair is stateless — a pure hash draw —
-    so isolation re-runs, retries and forked children all agree on which
-    keys are poisoned.
+    so isolation re-runs and retries all agree on which keys are
+    poisoned.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -278,8 +274,7 @@ class FaultInjector:
         """Evaluate every matching spec at ``site``; act on the first hit.
 
         ``"error"`` raises :class:`InjectedFaultError`, ``"crash"``
-        raises :class:`WorkerCrashError`, ``"exit"`` terminates the
-        process (pool-child death), ``"hang"`` sleeps ``hang_s``
+        raises :class:`WorkerCrashError`, ``"hang"`` sleeps ``hang_s``
         (then continues — a slow dependency, not a failed one).
         """
         for i, spec in enumerate(self.plan.specs):
@@ -298,15 +293,13 @@ class FaultInjector:
             if spec.kind == "hang":
                 time.sleep(spec.hang_s)
                 continue
-            if spec.kind == "exit":
-                os._exit(17)
             if spec.kind == "crash":
                 raise WorkerCrashError(site, spec.message)
             raise InjectedFaultError(site, spec.message)
 
     @property
     def counts(self) -> Mapping[str, int]:
-        """Fires per site so far (this process; a snapshot)."""
+        """Fires per site so far (a snapshot)."""
         with self._lock:
             return dict(self._site_fires)
 

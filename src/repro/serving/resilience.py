@@ -19,12 +19,8 @@ backend in this repo is bit-exact by construction:
   a dropped dispatcher can still be garbage collected) and periodically
   asks it to :meth:`~repro.serving.dispatcher.Dispatcher._supervise`:
   respawn dead worker threads within ``min_workers..max_workers`` and
-  audit the crash in the control-plane trail.
-
-Broken *process pools* are handled inline by the dispatch path (a dead
-child surfaces as a result timeout / pipe error on the waiting worker,
-which rebuilds the pool immediately) — the supervisor only needs to own
-the failure mode nobody is waiting on: a worker thread that died.
+  audit the crash in the control-plane trail.  It owns the failure mode
+  nobody is waiting on: a worker thread that died.
 """
 
 from __future__ import annotations

@@ -363,7 +363,7 @@ class Session:
                     raise CompileError(
                         f"request {i}: missing feed for input {name!r}"
                     )
-                xs.append(np.asarray(feeds[name]))
+                xs.append(self.compiled.check_feed(name, feeds[name]))
             bound = {} if binding is None else {"binding": binding}
             results = backend.run_pipeline_batch(
                 seg.pipeline, seg.plan, xs, strict=strict, **bound
@@ -400,27 +400,6 @@ class Session:
                 "session (in-place *value* edits of existing weight arrays "
                 "are fine and re-pack automatically)"
             )
-
-    def package_results(
-        self, outputs_list: Sequence[dict[str, np.ndarray]], *,
-        latency_s: float,
-    ) -> list[RequestResult]:
-        """Wrap externally computed outputs in :class:`RequestResult`\\ s.
-
-        Used by the dispatcher's ``workers="process"`` mode: child
-        processes return raw output tensors (small IPC payload) and the
-        parent attaches the session's cost template — valid because the
-        modeled cost is plan-determined, not data-determined.  Requires a
-        template-carrying backend (``"fast"``/``"turbo"``).
-        """
-        if self._report is None:
-            raise ServingError(
-                f"execution backend {self.execution!r} carries no cost "
-                "template; package_results needs a template backend such "
-                "as 'fast' or 'turbo'"
-            )
-        self._check_structure()
-        return self._assemble(list(outputs_list), None, None, latency_s)
 
     def _assemble(
         self, per_request_outputs, per_request_reports, stage_names,

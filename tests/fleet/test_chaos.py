@@ -4,16 +4,14 @@ Two layers:
 
 * pure units on :func:`build_storm_plan` — validation, purity (same
   ``(trace, storm)`` in, same plan out; a hypothesis property), window
-  arithmetic, poison/tenant scoping, pool-kill victim selection;
+  arithmetic, poison/tenant scoping, crash/brownout compilation;
 * chaos replays on a small heterogeneous trace — the failed set equals
-  the plan's preview exactly, survives dilation changes, thread vs
-  process worker modes, and the ``keep_outputs=False`` streaming-
-  histogram mode, with the outputs digest bit-identical throughout.
+  the plan's preview exactly, survives dilation and worker-count
+  changes and the ``keep_outputs=False`` streaming-histogram mode,
+  with the outputs digest bit-identical throughout.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +26,6 @@ from repro.fleet import (
     generate_trace,
 )
 from repro.fleet.replay import ReplayConfig, build_fleet, replay
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +68,10 @@ def poison_storm(seed=5, rate=0.2, onset=120.0, duration=180.0, tenants=None):
     )
 
 
-def run(trace, fleet, plan=None, dilation=2000.0, **kw):
+def run(trace, fleet, plan=None, dilation=2000.0, workers=2, **kw):
     config = ReplayConfig(
         dilation=dilation,
-        workers=2,
+        workers=workers,
         window_s=150.0,
         max_queue_depth=100_000,
         **kw,
@@ -153,41 +149,6 @@ class TestPlanCompilation:
         ]
         assert list(plan.expected_failed) == in_window
 
-    def test_pool_kill_victim_avoids_poison(self, trace):
-        storm = StormSpec(
-            storm_seed=9,
-            phases=(
-                StormPhase(
-                    kind="poison", onset_s=120.0, duration_s=180.0, rate=0.5
-                ),
-                StormPhase(
-                    kind="pool_kill", onset_s=120.0, duration_s=180.0
-                ),
-            ),
-        )
-        plan = build_storm_plan(trace, storm)
-        kill = [s for s in plan.faults.specs if s.site == "process.child"]
-        assert len(kill) == 1
-        (victim,) = kill[0].keys
-        assert victim not in plan.expected_failed
-        assert 120.0 <= trace.arrival_s[victim] < 300.0
-
-    def test_pool_kill_skipped_when_window_fully_poisoned(self, trace):
-        storm = StormSpec(
-            phases=(
-                StormPhase(
-                    kind="poison", onset_s=120.0, duration_s=180.0, rate=1.0
-                ),
-                StormPhase(
-                    kind="pool_kill", onset_s=120.0, duration_s=180.0
-                ),
-            ),
-        )
-        plan = build_storm_plan(trace, storm)
-        assert not any(
-            s.site == "process.child" for s in plan.faults.specs
-        )
-
     def test_window_arithmetic(self, trace):
         plan = build_storm_plan(trace, poison_storm())
         assert plan.phase_windows() == ((120.0, 300.0),)
@@ -212,6 +173,23 @@ class TestPlanCompilation:
         assert spec.site == "backend.turbo"
         assert spec.fail_attempts == 1
         assert spec.max_fires == 3
+
+    def test_crash_phase_targets_workers_and_leaves_poison_alone(
+        self, trace
+    ):
+        poison = poison_storm().phases
+        crash = StormPhase(kind="crash", workers=(0, 1), budget=2)
+        alone = build_storm_plan(trace, poison_storm())
+        plan = build_storm_plan(
+            trace, StormSpec(storm_seed=5, phases=(*poison, crash))
+        )
+        # a crash loses no request: the poison set is the poison
+        # phase's alone
+        assert plan.expected_failed == alone.expected_failed
+        (spec,) = [s for s in plan.faults.specs if s.site == "worker.loop"]
+        assert spec.kind == "crash"
+        assert spec.keys == (0, 1)
+        assert spec.max_fires == 2
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -293,13 +271,13 @@ class TestChaosReplay:
         assert faster.failed_indices() == stormy.failed_indices()
         assert faster.outputs_digest() == stormy.outputs_digest()
 
-    @pytest.mark.skipif(not HAS_FORK, reason="process pools need fork")
-    def test_failed_set_invariant_across_worker_modes(
-        self, trace, fleet, plan, stormy
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failed_set_invariant_across_worker_counts(
+        self, trace, fleet, plan, stormy, workers
     ):
-        proc = run(trace, fleet, plan, worker_mode="process")
-        assert proc.failed_indices() == stormy.failed_indices()
-        assert proc.outputs_digest() == stormy.outputs_digest()
+        other = run(trace, fleet, plan, workers=workers)
+        assert other.failed_indices() == stormy.failed_indices()
+        assert other.outputs_digest() == stormy.outputs_digest()
 
     def test_keep_outputs_false_streams_histograms(
         self, trace, fleet, plan, stormy

@@ -223,10 +223,10 @@ class TestRepairMetrics:
         assert m.failures == 0 and m.repairs == 0
         assert m.mttr_s is None
 
-    def test_crash_and_pool_are_instant_repairs(self):
+    def test_crashes_are_instant_repairs(self):
         m = repair_metrics((
             change("crash", 2.0, "worker 0 crashed; respawned"),
-            change("pool", 6.0, "process pool rebuilt"),
+            change("crash", 6.0, "worker 1 crashed; respawned"),
         ))
         assert m.failures == 2
         assert m.repairs == 2

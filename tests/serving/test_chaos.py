@@ -18,8 +18,6 @@ dispatcher fails the suite instead of wedging it.
 
 from __future__ import annotations
 
-import multiprocessing
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +34,6 @@ from repro.serving import (
     RetryPolicy,
 )
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 RESULT_TIMEOUT_S = 120.0
 
 
@@ -55,8 +52,7 @@ def input_shape(cm):
     return cm.graph.tensors[cm.graph.inputs[0]].spec.shape
 
 
-def run_storm(cm, plan, *, n, workers, max_batch, worker_mode="thread",
-              seed=0, **config_fields):
+def run_storm(cm, plan, *, n, workers, max_batch, seed=0):
     """Flood one dispatcher under ``plan``; classify every outcome.
 
     Returns ``(ok_seqs, failed_seqs, stats)`` where ``ok_seqs`` maps
@@ -75,13 +71,9 @@ def run_storm(cm, plan, *, n, workers, max_batch, worker_mode="thread",
         batch_timeout_s=0.0,
         supervise_interval_s=0.01,
         retry=RetryPolicy(max_attempts=2, backoff_s=0.001),
-        **config_fields,
     )
     failed = set()
-    with Dispatcher(
-        cm, workers=workers, worker_mode=worker_mode, config=cfg,
-        faults=plan,
-    ) as d:
+    with Dispatcher(cm, workers=workers, config=cfg, faults=plan) as d:
         tickets = [d.submit(x) for x in xs]
         for x, t in zip(xs, tickets):
             try:
@@ -169,43 +161,6 @@ class TestChaosHammer:
         assert first == set(
             FaultInjector(plan).preview("dispatch.request", range(12))
         )
-
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_process_mode_storm(self, compiled_cls):
-        # the full acceptance storm, process flavor: request poison, a
-        # worker-thread crash AND a pool-child kill in one plan
-        n = 12
-        specs = [FaultSpec(site="dispatch.request", rate=0.1)]
-        poisoned = set(
-            FaultInjector(FaultPlan(seed=5, specs=tuple(specs))).preview(
-                "dispatch.request", range(n)
-            )
-        )
-        victim = next(i for i in range(n) if i not in poisoned)
-        specs += [
-            FaultSpec(
-                site="worker.loop", kind="crash", keys=(0,), max_fires=1
-            ),
-            # fail_attempts=2: the kill fires on the victim's first pool
-            # exposure whether that is the original batch (attempt 0) or
-            # an isolation re-run (attempt 1, if a poisoned co-member
-            # failed the batch in the parent first) — and the retry
-            # after the rebuild always succeeds
-            FaultSpec(
-                site="process.child", kind="exit", keys=(victim,),
-                fail_attempts=2,
-            ),
-        ]
-        plan = FaultPlan(seed=5, specs=tuple(specs))
-        failed, stats = run_storm(
-            compiled_cls, plan, n=n, workers=2, max_batch=4,
-            worker_mode="process", process_result_timeout_s=1.0,
-        )
-        assert failed == poisoned  # the killed child's batch recovered
-        assert stats.submitted == stats.completed + stats.failed + stats.shed
-        assert stats.worker_crashes >= 1
-        assert stats.pool_rebuilds >= 1
-        assert any(c.kind == "pool" for c in stats.audit)
 
     def test_breaker_degrades_and_restores_under_backend_faults(
         self, compiled_cls

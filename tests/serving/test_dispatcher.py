@@ -11,8 +11,9 @@ deadline accounting, admission control — and the shared multi-tenant
 
 from __future__ import annotations
 
-import os
+import gc
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -214,8 +215,6 @@ class TestMisuse:
     def test_config_validation(self, compiled_cls):
         with pytest.raises(ServingError, match="worker"):
             Dispatcher(compiled_cls, workers=0)
-        with pytest.raises(ServingError, match="worker_mode"):
-            Dispatcher(compiled_cls, worker_mode="fiber")
         with pytest.raises(ServingError, match="tenant"):
             Dispatcher({})
 
@@ -246,57 +245,57 @@ class TestSharedPlanCache:
             assert_bit_exact(d.sessions[tenant].compiled, x, res)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork()")
-class TestProcessMode:
-    def test_process_workers_bit_exact(self, compiled_cls):
-        rng = np.random.default_rng(37)
-        xs = [random_int8(rng, input_shape(compiled_cls)) for _ in range(5)]
-        with Dispatcher(
-            compiled_cls, workers=2, worker_mode="process", max_batch=2
-        ) as d:
-            results = d.run_many(xs, timeout=120.0)
-        for x, res in zip(xs, results):
-            assert_bit_exact(compiled_cls, x, res)
+class TestThreadWorkers:
+    """Workers are threads sharing the tenant sessions in-process: an
+    in-place weight edit reaches them, and a dispatcher dropped without
+    close() is collected and takes its threads with it."""
 
-    def test_weight_mutation_after_fork_fails_loudly(self):
-        """Process children serve the forked weight snapshot; weights are
-        frozen for the dispatcher's lifetime so a parent-side in-place
-        mutation raises at the write site instead of silently serving
-        stale bits (thread workers re-pack instead and stay writable —
-        see the session misuse tests), and thaw again on close."""
+    @pytest.mark.parametrize("execution", ["fast", "turbo"])
+    def test_in_place_weight_mutation_reaches_the_workers(self, execution):
         compiled = repro.compile(
             build_classifier_graph("vww", classes=2), execution="fast"
         )
-        rng = np.random.default_rng(43)
-        xs = [random_int8(rng, input_shape(compiled)) for _ in range(2)]
+        rng = np.random.default_rng(3)
+        xs = [random_int8(rng, input_shape(compiled)) for _ in range(4)]
         w = next(
             st.weights
             for st in compiled.segments[0].pipeline.stages
             if hasattr(st, "weights")
         )
         with Dispatcher(
-            compiled, workers=2, worker_mode="process", max_batch=2
+            compiled, workers=2, max_batch=2, execution=execution
         ) as d:
-            d.run_many(xs, timeout=120.0)  # healthy before mutation
-            with pytest.raises(ValueError, match="read-only"):
-                w[0, 0] = np.int8(~int(w[0, 0]) & 0x7F)
-        # close() thaws: legal in-place mutation works again
-        w[0, 0] = np.int8(~int(w[0, 0]) & 0x7F)
-
-    def test_finalizer_releases_fork_registry(self, compiled_cls):
-        import gc
-
-        from repro.serving.dispatcher import _PROCESS_SESSIONS
-
-        d = Dispatcher(
-            compiled_cls, workers=1, worker_mode="process", max_batch=2
+            before = d.run_many(xs, timeout=60.0)
+            w[0, 0] = np.int8(~int(w[0, 0]) & 0x7F)
+            after = d.run_many(xs, timeout=60.0)
+        for x, res in zip(xs, after):
+            assert_bit_exact(compiled, x, res)
+        # and the edit really changed what the workers computed
+        assert any(
+            not np.array_equal(b.output, a.output)
+            for b, a in zip(before, after)
         )
-        key = id(d)
-        assert key in _PROCESS_SESSIONS
-        d.queue.close()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_dropped_dispatcher_is_collected_with_its_threads(
+        self, compiled_cls, workers
+    ):
+        d = Dispatcher(compiled_cls, workers=workers, max_batch=2)
+        x = random_int8(np.random.default_rng(5), input_shape(compiled_cls))
+        assert_bit_exact(compiled_cls, x, d.submit(x).result(60.0))
+        threads = [*d._threads.values(), d._supervisor]
+        finalizer = d._finalizer
         del d
-        gc.collect()
-        assert key not in _PROCESS_SESSIONS
+        # a worker may still hold its per-batch strong reference for a
+        # moment after resolving the ticket: collect until it lets go
+        deadline = time.monotonic() + 10.0
+        while finalizer.alive and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert not finalizer.alive
+        for th in threads:
+            th.join(10.0)
+        assert not any(th.is_alive() for th in threads)
 
 
 class TestConcurrentSubmission:

@@ -10,7 +10,6 @@ turbo backends), not just from the injector in isolation.
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import time
 
@@ -28,8 +27,6 @@ from repro.serving.faults import (
     scope,
     stable_uniform,
 )
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def random_int8(rng, shape):
@@ -104,7 +101,6 @@ class TestValidation:
     def test_sites_cover_the_documented_stack(self):
         assert "dispatch.request" in SITES
         assert "worker.loop" in SITES
-        assert "process.child" in SITES
 
 
 class TestDecisions:
@@ -180,19 +176,10 @@ class TestKinds:
         inj.fire("s")  # must not raise
         assert time.monotonic() - t0 >= 0.02
 
-    @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-    def test_exit_kills_the_process(self):
-        def child():
-            FaultInjector(error_plan("s", kind="exit")).fire("s")
-
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        proc.start()
-        proc.join(10.0)
-        assert proc.exitcode == 17
-
     @pytest.mark.parametrize("cls", [InjectedFaultError, WorkerCrashError])
     def test_pickle_round_trip(self, cls):
-        # raised in pool children and re-raised in the parent
+        # the exceptions stay picklable for callers that ship them
+        # across processes
         err = pickle.loads(pickle.dumps(cls("site.x", "child died")))
         assert type(err) is cls
         assert err.site == "site.x"

@@ -1,6 +1,6 @@
 """Resilience-layer coverage: breaker, retry, quarantine, supervision.
 
-Three layers of tests:
+Two layers of tests:
 
 * pure units — :class:`CircuitBreaker` against an injected clock and
   :class:`RetryPolicy` arithmetic, no threads anywhere;
@@ -8,15 +8,11 @@ Three layers of tests:
   containment (innocent co-batched requests must survive), transient
   faults recovered by backoff retries, the deadline budget cutting
   retries short, dead-worker respawn, and the close() discipline
-  (one shared join deadline; queued leftovers failed, never leaked);
-* the process-mode child-death path (POSIX only): a pool child killed
-  mid-batch must surface as a rebuilt pool plus quarantined re-runs,
-  with the ``admitted == completed + failed + shed`` balance intact.
+  (one shared join deadline; queued leftovers failed, never leaked).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 
@@ -38,11 +34,8 @@ from repro.serving import (
     FaultSpec,
     FleetConfig,
     RetryPolicy,
-    TenantPolicy,
 )
 from repro.serving.resilience import DEGRADE_CHAIN
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def random_int8(rng, shape):
@@ -182,7 +175,6 @@ class TestRetryPolicy:
             dict(breaker_threshold=0),
             dict(breaker_cooldown_s=-1.0),
             dict(supervise_interval_s=0.0),
-            dict(process_result_timeout_s=0.0),
         ):
             with pytest.raises(ConfigError):
                 FleetConfig(**bad).validate()
@@ -326,6 +318,11 @@ class TestSupervisor:
             compiled_cls, workers=2, config=cfg, faults=plan
         ) as d:
             results = d.run_many(xs, timeout=60.0)
+            # the surviving worker can serve all 12 before the
+            # supervisor's next sweep counts the crash: wait for it
+            deadline = time.monotonic() + 10.0
+            while not d.stats.worker_crashes and time.monotonic() < deadline:
+                time.sleep(0.01)
             stats = d.stats
         assert len(results) == 12
         assert stats.completed == 12
@@ -425,47 +422,4 @@ class TestClose:
                 errors.append(e)
         stats = d.stats
         assert stats.submitted == len(tickets)
-        assert balance_holds(stats)
-
-
-# --------------------------------------------------------------------------- #
-# process-mode child death (POSIX)
-# --------------------------------------------------------------------------- #
-@pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
-class TestProcessChildDeath:
-    def test_killed_child_rebuilds_pool_and_recovers(self, compiled_cls):
-        # one child os._exit()s while holding request 3's batch; the
-        # waiting worker times out, rebuilds the pool, and quarantine
-        # re-runs every member — the kill is transient (fail_attempts=1)
-        # so all requests ultimately succeed
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(
-                    site="process.child", kind="exit", keys=(3,),
-                    fail_attempts=1, max_fires=1,
-                ),
-            )
-        )
-        cfg = FleetConfig(
-            min_workers=2, max_workers=2, max_batch=4,
-            default_deadline_s=60.0, batch_timeout_s=0.0,
-            process_result_timeout_s=1.0,
-            retry=RetryPolicy(max_attempts=2, backoff_s=0.001),
-        )
-        xs = make_inputs(compiled_cls, 8, seed=7)
-        with Dispatcher(
-            compiled_cls, workers=2, worker_mode="process", config=cfg,
-            faults=plan,
-        ) as d:
-            results = d.run_many(xs, timeout=120.0)
-            stats = d.stats
-        for x, res in zip(xs, results):
-            np.testing.assert_array_equal(
-                res.output, compiled_cls.run(x, execution="fast").output
-            )
-        assert stats.completed == 8
-        assert stats.failed == 0
-        assert stats.pool_rebuilds >= 1
-        assert stats.quarantined >= 1
-        assert any(c.kind == "pool" for c in stats.audit)
         assert balance_holds(stats)
