@@ -72,7 +72,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.eval.experiments import FLEET_SMOKE  # noqa: E402
+from repro.eval.experiments import FLEET_SMOKE, STORM_SMOKE  # noqa: E402
 
 TITLE = "Serving — session run_batch vs per-call fast execution"
 DISPATCH_TITLE = "Dispatch — sharded multi-worker serving (open loop)"
@@ -100,7 +100,7 @@ SMOKE_FLEET = FLEET_SMOKE
 # chaos replay is a pure function of (trace_seed, storm_seed) — so they
 # stay hard in smoke
 FULL_STORM = dict(n_requests=3_000, dilation=60.0, window_s=150.0)
-SMOKE_STORM = dict(n_requests=900, dilation=180.0, window_s=150.0)
+SMOKE_STORM = STORM_SMOKE
 
 
 def test_serving_throughput(benchmark, emit):

@@ -1473,6 +1473,11 @@ def storm_trial(
     return trace, plan, result
 
 
+#: the storm replays at smoke size: 900 requests at dilation 180, every
+#: gate kept (CI's storm smoke and tier-1)
+STORM_SMOKE = dict(n_requests=900, dilation=180.0, window_s=150.0)
+
+
 def storm_eval(
     *,
     n_requests: int = 3000,

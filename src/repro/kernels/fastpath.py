@@ -937,12 +937,14 @@ class FastBackend(ExecutionBackend):
         request: per-stage outputs are views into the stacked activations,
         per-stage reports are the shared cost template's (bit-identical to
         a per-request simulate/fast run), and each request carries its own
-        copy of the template's cumulative pool statistics.  ``binding`` is
-        what :meth:`bind` returned for ``pipeline`` and ``plan``, held by
-        the caller across calls; the caller must pass the same pipeline
-        and stage objects it was bound from.
+        copy of the template's cumulative pool statistics.  A result
+        builds its stage runs when they are first read; its ``output``
+        needs none of them.  ``binding`` is what :meth:`bind` returned
+        for ``pipeline`` and ``plan``, held by the caller across calls;
+        the caller must pass the same pipeline and stage objects it was
+        bound from.
         """
-        from repro.runtime.pipeline import PipelineResult
+        from repro.runtime.pipeline import _StackedResult
 
         _fault_hook(f"backend.{self.name}")
         if len(xs) == 0:
@@ -959,22 +961,9 @@ class FastBackend(ExecutionBackend):
                 )
         template = self.pipeline_template(pipeline, plan)
         acts = self._run_stacked(pipeline, plan, np.stack(xs), binding)
-
-        results = []
-        for i in range(len(xs)):
-            stats = replace(template.pool_stats)
-            result = PipelineResult(output=acts[-1][i], plan=plan)
-            result.stage_runs = [
-                KernelRun(
-                    output=acts[j][i],
-                    plan=sp.plan,
-                    pool_stats=stats,
-                    report=template.stage_reports[j],
-                )
-                for j, sp in enumerate(plan.stages)
-            ]
-            results.append(result)
-        return results
+        return [
+            _StackedResult(acts, i, plan, template) for i in range(len(xs))
+        ]
 
 
 def _recompute_events(

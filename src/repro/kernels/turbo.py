@@ -12,10 +12,11 @@ remaining *provably bit-exact*:
   table (its kind, geometry, requantize multipliers and the addresses of
   its int16-pair weight packs), and the stacked pass of a batch is one
   ``vmcu_segment`` call that walks the table with the GIL released.  Per
-  call, Python only checks each weight's pack against the table (the
-  pack cache's content digest: an in-place mutation re-packs, and the
-  call binds a new table) and allocates one output array per stage.  A
-  caller without a binding (``Pipeline.run_batch``) binds for its call.
+  call, Python only compares the bytes of the segment's weights with the
+  snapshot taken when the table was bound (one exact compare; an
+  in-place mutation re-packs, and the call binds a new table) and
+  allocates one output array per stage.  A caller without a binding
+  (``Pipeline.run_batch``) binds for its call.
 
 * **the leaves** — pointwise and dense stages (int16-pair GEMM rows with
   the requantize fused in), the inverted bottleneck fused the way the
@@ -126,20 +127,27 @@ class _Binding:
 
     The session owns the binding, so the table and the packs it points at
     live exactly as long as the served model (plans outlive their models
-    in the plan cache; tables must not).  ``weights`` are the stage
-    weights in the order the table holds their packs.  A call that finds
-    one of them re-packed — the pack cache's content digest saw an
-    in-place mutation — binds a new table and swaps it in; a table is
-    never edited, so a concurrent call finishes on the one it read.  Two
-    calls that both find a stale pack both bind, and either table is
-    current, so no lock is needed: the last swap wins.
+    in the plan cache; tables must not).  ``bound`` is the pair
+    ``(table, snapshot)``: ``snapshot`` holds the bytes of ``weights``,
+    taken *before* the table packed them, so a write racing the packing
+    leaves the snapshot stale, never the table.  A call whose weights
+    differ from the snapshot in any byte (an in-place mutation) re-packs,
+    binds a new pair and swaps it in as one object: a concurrent call
+    finishes on the table it read and never pairs it with another
+    table's snapshot.  Two calls that both see a stale snapshot both
+    bind, and either pair is current, so no lock is needed: the last
+    swap wins.
     """
 
-    __slots__ = ("weights", "table")
+    __slots__ = ("weights", "bound")
 
-    def __init__(self, weights: tuple, table: native.SegmentTable):
+    def __init__(self, weights: tuple, bound: tuple):
         self.weights = weights
-        self.table = table
+        self.bound = bound
+
+    @property
+    def table(self) -> native.SegmentTable:
+        return self.bound[0]
 
 
 class TurboBackend(FastBackend):
@@ -168,7 +176,12 @@ class TurboBackend(FastBackend):
         weights = tuple(
             w for stage in pipeline.stages for w in stage_weight_arrays(stage)
         )
-        return _Binding(weights, self._table(pipeline, plan))
+        return _Binding(weights, self._bound(pipeline, plan, weights))
+
+    def _bound(self, pipeline, plan, weights) -> tuple:
+        """A binding's ``(table, snapshot)``, snapshot taken first."""
+        snapshot = tuple(w.tobytes() for w in weights)
+        return self._table(pipeline, plan), snapshot
 
     def _table(self, pipeline, plan) -> native.SegmentTable:
         from repro.runtime.pipeline import (
@@ -202,10 +215,10 @@ class TurboBackend(FastBackend):
     def _run_stacked(self, pipeline, plan, xb, binding=None):
         """The whole segment in one native call.
 
-        Per call this checks each weight's pack against the table (the
-        pack cache's content digest) and allocates one output array per
-        stage; everything else was bound once, by :meth:`bind` for a
-        session or here for a caller that passes no ``binding``.
+        Per call this compares the weights' bytes with the binding's
+        snapshot and allocates one output array per stage; everything
+        else was bound once, by :meth:`bind` for a session or here for a
+        caller that passes no ``binding``.
         """
         leaves = native.leaves()
         if leaves is None:
@@ -214,12 +227,11 @@ class TurboBackend(FastBackend):
         if binding is None:
             table = self._table(pipeline, plan)
         else:
-            table = binding.table
-            if any(
-                _pairs(w) is not packed
-                for w, packed in zip(binding.weights, table.packs)
-            ):
-                table = binding.table = self._table(pipeline, plan)
+            table, snapshot = binding.bound
+            if tuple(w.tobytes() for w in binding.weights) != snapshot:
+                bound = self._bound(pipeline, plan, binding.weights)
+                binding.bound = bound
+                table = bound[0]
         return leaves.segment(table, xb)
 
     def _gemm(

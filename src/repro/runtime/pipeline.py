@@ -20,7 +20,7 @@ against the layer-by-layer NumPy references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -176,6 +176,39 @@ class PipelineResult:
             sp.name: r.report
             for sp, r in zip(self.plan.stages, self.stage_runs)
         }
+
+
+class _StackedResult(PipelineResult):
+    """One request's share of a stacked batch pass.
+
+    Its stage runs are built when first read: one :class:`KernelRun` per
+    stage over the request's row of that stage's stacked output, with the
+    cost template's report, all sharing the request's own copy of the
+    template's pool statistics.  A serving session reads only ``output``,
+    so it never builds them.
+    """
+
+    def __init__(self, acts, index: int, plan: PipelinePlan, template):
+        self.output = acts[-1][index]
+        self.plan = plan
+        self._stacked = (acts, index, template)
+        self._stage_runs: list[KernelRun] | None = None
+
+    @property
+    def stage_runs(self) -> list[KernelRun]:
+        if self._stage_runs is None:
+            acts, i, template = self._stacked
+            stats = replace(template.pool_stats)
+            self._stage_runs = [
+                KernelRun(
+                    output=act[i], plan=sp.plan, pool_stats=stats,
+                    report=report,
+                )
+                for act, sp, report in zip(
+                    acts, self.plan.stages, template.stage_reports
+                )
+            ]
+        return self._stage_runs
 
 
 # --------------------------------------------------------------------------- #
@@ -464,8 +497,6 @@ def _shift_plan(plan, shift: int):
     """Rotate any plan type's bases by ``shift`` slots."""
     if hasattr(plan, "shifted"):
         return plan.shifted(shift)
-    from dataclasses import replace
-
     return replace(
         plan, in_base=plan.in_base + shift, out_base=plan.out_base + shift
     )

@@ -23,7 +23,8 @@ The scale-out layer above :class:`~repro.serving.session.Session`:
   priority/weighted-stride/deadline policy;
 * the **autoscaler** grows and shrinks the worker pool inside the
   config's range from queue depth and the per-tenant EWMA service
-  estimates, with hysteresis; resizes land in the audit trail;
+  estimates, with hysteresis; resizes land in the audit trail.  A fixed
+  fleet (``min_workers == max_workers``) skips it;
 * **workers** are threads that pop batches and dispatch them through
   the tenant's warmed :class:`Session`.  The hot path releases the GIL
   for the whole native segment pass (or inside NumPy and BLAS without
@@ -437,7 +438,6 @@ class Dispatcher:
             models = {"default": models}
         if not models:
             raise ServingError("dispatcher needs at least one tenant model")
-        self.workers = workers
         self.execution = execution
         self.plan_cache = (
             plan_cache if plan_cache is not None else DEFAULT_PLAN_CACHE
@@ -775,15 +775,17 @@ class Dispatcher:
     def _maybe_autoscale(self) -> None:
         """One autoscaler observation (called on submit / batch done).
 
-        ``autoscale_mode="model"`` plans the worker target from first
-        principles — the M/G/k capacity planner at the *measured*
-        arrival rate and service profile, times ``fault_headroom``
-        while any circuit breaker is open — and only falls back to the
-        queue-depth heuristic until enough observations calibrate it.
+        A fixed fleet (``min_workers == max_workers``) cannot resize, so
+        it observes nothing.  ``autoscale_mode="model"`` plans the worker
+        target from first principles — the M/G/k capacity planner at the
+        *measured* arrival rate and service profile, times
+        ``fault_headroom`` while any circuit breaker is open — and only
+        falls back to the queue-depth heuristic until enough
+        observations calibrate it.
         """
-        if self._closed:
-            return
         cfg = self.control.config
+        if self._closed or cfg.min_workers == cfg.max_workers:
+            return
         if cfg.autoscale_mode == "model":
             planned = self._plan_workers(cfg)
             if planned is not None:

@@ -57,11 +57,22 @@ class Ticket:
     Created by :meth:`~repro.serving.dispatcher.Dispatcher.submit`;
     fulfilled (or failed) exactly once by a dispatcher worker — or
     failed by the queue itself when priority load shedding evicts it.
+    A second settle, concurrent or not, is a no-op: the first answer
+    stands.
+
+    The future is a bare lock, held from creation until the ticket
+    settles, plus a ``done`` flag set just before the release.  A waiter
+    acquires the lock and releases it at once, which wakes the next
+    waiter in turn.
     """
+
+    #: serializes settles, so exactly one of two racing settles releases
+    #: the ticket's lock (held for a few bytecodes; waiters never take it)
+    _SETTLE_LOCK = threading.Lock()
 
     __slots__ = (
         "tenant", "feeds", "request_seq", "enqueue_t", "deadline_t",
-        "_event", "_result", "_error",
+        "_settled", "_done", "_result", "_error",
     )
 
     def __init__(
@@ -80,34 +91,57 @@ class Ticket:
         self.enqueue_t = enqueue_t
         #: monotonic-clock deadline; completion after it counts as a miss
         self.deadline_t = deadline_t
-        self._event = threading.Event()
+        self._settled = threading.Lock()
+        self._settled.acquire()
+        self._done = False
         self._result = None
         self._error: BaseException | None = None
 
     def done(self) -> bool:
         """Whether a worker has fulfilled (or failed) this request."""
-        return self._event.is_set()
+        return self._done
 
     def result(self, timeout: float | None = None):
-        """Block for the :class:`DispatchResult`; re-raise worker errors."""
-        if not self._event.wait(timeout):
-            raise ServingError(
-                f"request {self.request_seq} ({self.tenant!r}) not served "
-                f"within {timeout}s — the dispatcher may be closed or "
-                "overloaded; raise the timeout or add workers"
-            )
+        """Block for the :class:`DispatchResult`; re-raise worker errors.
+
+        ``None`` waits without limit; a timeout of 0 or less never
+        blocks.
+        """
+        if not self._done:
+            if timeout is None:
+                acquired = self._settled.acquire()
+            else:
+                acquired = self._settled.acquire(timeout=max(0.0, timeout))
+            if acquired:
+                self._settled.release()  # wakes the next waiter
+            elif not self._done:
+                # (a settled ticket's lock fails an acquire only while
+                # another waiter holds it for an instant)
+                raise ServingError(
+                    f"request {self.request_seq} ({self.tenant!r}) not "
+                    f"served within {timeout}s — the dispatcher may be "
+                    "closed or overloaded; raise the timeout or add "
+                    "workers"
+                )
         if self._error is not None:
             raise self._error
         return self._result
 
     # -- worker side ---------------------------------------------------- #
     def _fulfill(self, result) -> None:
-        self._result = result
-        self._event.set()
+        self._settle(result, None)
 
     def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
+        self._settle(None, error)
+
+    def _settle(self, result, error: BaseException | None) -> None:
+        with Ticket._SETTLE_LOCK:
+            if self._done:
+                return
+            self._result = result
+            self._error = error
+            self._done = True
+            self._settled.release()
 
 
 class RequestQueue:

@@ -28,8 +28,12 @@ batch, straight through the backend: one native call per segment on
 ``"turbo"``, one pass per stage elsewhere — behind two guards: an
 identity check of the snapshot taken at open (segments, plans, stage
 objects, pipeline geometry, weight shapes and dtypes), which also keeps
-the bindings valid, and the pack cache's content digest of each weight
-(a re-pack re-binds).  :meth:`Session.run` serves one
+the bindings valid, and a check of the weights' values: on ``"turbo"``
+one exact compare of their bytes with the snapshot its binding took
+before packing them (a difference re-packs and re-binds), elsewhere the
+pack cache's content digest of each weight.  The session reads only
+each stage pass's outputs, so the per-stage runs of a batch result are
+never built.  :meth:`Session.run` serves one
 request, :meth:`Session.run_batch` a whole batch; both return
 :class:`RequestResult`\\ s carrying the output tensor(s) and a
 :class:`RequestStats` (host latency, queue depth, modeled stage costs).
@@ -62,8 +66,9 @@ class _SegmentSnapshot:
     stride is caught).  What can still change in place is compared by
     value: the pipeline's stage list, its input geometry and device, and
     each weight's shape and dtype.  Weight *values* are deliberately
-    excluded: in-place value mutation is legal and handled by
-    ``cached_pack``'s content digest (a re-pack, not an error).
+    excluded: in-place value mutation is legal and re-packs, not an
+    error (turbo's binding compares the bytes, ``cached_pack`` its
+    content digest).
     """
 
     segment: object

@@ -5,6 +5,7 @@ import pytest
 from repro.eval.experiments import (
     ALL_EXPERIMENTS,
     FLEET_SMOKE,
+    STORM_SMOKE,
     compiled_networks,
     figure7,
     figure8,
@@ -34,7 +35,7 @@ class TestWorkloads:
 
 #: experiments whose default size belongs to ``benchmarks/``; these
 #: tests run them at the size CI's smoke jobs use
-SMOKE_SIZES = {"fleet": FLEET_SMOKE}
+SMOKE_SIZES = {"fleet": FLEET_SMOKE, "storm": STORM_SMOKE}
 
 
 class TestDrivers:

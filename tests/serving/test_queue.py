@@ -8,6 +8,7 @@ never double-claim a ticket across concurrent workers.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -262,3 +263,142 @@ class TestTicket:
         t2._fail(ServingError("boom"))
         with pytest.raises(ServingError, match="boom"):
             t2.result(0.0)
+
+    def test_zero_or_negative_timeout_never_blocks(self):
+        t = ticket("a", 2)
+        for timeout in (0, 0.0, -1.0):
+            t0 = time.monotonic()
+            with pytest.raises(ServingError, match="not served within"):
+                t.result(timeout)
+            assert time.monotonic() - t0 < 1.0
+        t._fulfill("payload")
+        assert t.result(0) == "payload"
+        assert t.result(-5.0) == "payload"
+
+    def test_result_none_blocks_until_settled(self):
+        t = ticket("a", 3)
+        settler = threading.Timer(0.05, t._fulfill, args=("late",))
+        settler.start()
+        try:
+            assert t.result(None) == "late"
+        finally:
+            settler.join()
+        assert t.done()
+
+    @pytest.mark.parametrize("timeout", [None, 30.0])
+    def test_every_concurrent_waiter_wakes(self, timeout):
+        t = ticket("a", 4)
+        n = 8
+        started = threading.Barrier(n + 1)
+        got = []
+
+        def wait():
+            started.wait()
+            got.append(t.result(timeout))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            waiters = [threading.Thread(target=wait) for _ in range(n)]
+            for th in waiters:
+                th.start()
+            started.wait()
+            time.sleep(0.02)  # let the waiters park on the ticket
+            t._fulfill("all")
+            for th in waiters:
+                th.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in waiters)
+        assert got == ["all"] * n
+
+    def test_failed_ticket_wakes_waiters_with_the_error(self):
+        t = ticket("a", 5)
+        errors = []
+
+        def wait():
+            try:
+                t.result(30.0)
+            except ServingError as exc:
+                errors.append(exc)
+
+        th = threading.Thread(target=wait)
+        th.start()
+        t._fail(ServingError("shed"))
+        th.join(10.0)
+        assert not th.is_alive()
+        assert [str(e) for e in errors] == ["shed"]
+
+    def test_second_settle_is_harmless(self):
+        t = ticket("a", 6)
+        t._fulfill("first")
+        assert t.result(0) == "first"  # a waiter has passed the lock on
+        t._fulfill("second")
+        t._fail(ServingError("late"))
+        assert t.done()
+        assert t.result(0) == "first"
+        assert t.result(None) == "first"
+        t2 = ticket("a", 7)
+        t2._fail(ServingError("first"))
+        t2._fulfill("late")
+        with pytest.raises(ServingError, match="first"):
+            t2.result(None)
+
+    def test_racing_settles_release_once(self):
+        """Settlers and waiters racing at a 1 µs switch interval: no
+        settle raises, and every waiter sees the one answer that won."""
+        errors, answers = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seq in range(50):
+                t = ticket("a", seq)
+
+                def settle(i, t=t):
+                    try:
+                        if i % 2:
+                            t._fail(ServingError(f"fail {i}"))
+                        else:
+                            t._fulfill(f"ok {i}")
+                    except BaseException as exc:  # noqa: BLE001
+                        errors.append(exc)
+
+                def wait(t=t):
+                    try:
+                        answers.append((t, t.result(30.0)))
+                    except ServingError as exc:
+                        answers.append((t, str(exc)))
+
+                threads = [
+                    threading.Thread(target=settle, args=(i,))
+                    for i in range(4)
+                ] + [threading.Thread(target=wait) for _ in range(4)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(10.0)
+                assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(answers) == 50 * 4
+        by_ticket = {}
+        for t, answer in answers:
+            by_ticket.setdefault(t.request_seq, set()).add(answer)
+        assert all(len(seen) == 1 for seen in by_ticket.values())
+
+    def test_done_reads_the_flag_while_a_waiter_holds_the_lock(self):
+        t = ticket("a", 8)
+        assert not t.done()
+        t._fulfill("payload")
+        # a waiter inside result() holds the lock for an instant
+        t._settled.acquire()
+        try:
+            assert t.done()
+            seen = []
+            th = threading.Thread(target=lambda: seen.append(t.result(0)))
+            th.start()
+            th.join(10.0)
+            assert seen == ["payload"]
+        finally:
+            t._settled.release()
