@@ -1507,7 +1507,8 @@ def storm_eval(
 
     The notes add the determinism anchor: an identical failed set and
     outputs digest on a rerun with ``keep_outputs=False`` (histogram
-    telemetry, no stored tensors).
+    telemetry, no stored tensors), and each replay's wall time and worst
+    submit lag behind the dilated schedule.
     """
     from repro.compiler import PlanCache
     from repro.fleet import generate_trace
@@ -1525,6 +1526,7 @@ def storm_eval(
     )
 
     _, _, baseline = storm_trial(storm=None, **common)
+    replays = [("baseline", baseline)]
     base_digests = {
         r.index: r.output_digest for r in baseline.records
     }
@@ -1540,6 +1542,7 @@ def storm_eval(
     for name, storm in storms.items():
         _, plan, res = storm_trial(storm=storm, **common)
         results[name] = (plan, res)
+        replays.append((name, res))
         storm_ids = plan.storm_window_ids(window_s)
         report = availability_report(
             res.telemetry,
@@ -1615,6 +1618,7 @@ def storm_eval(
     _, _, rerun = storm_trial(
         storm=storms[name0], keep_outputs=False, **common
     )
+    replays.append(("rerun", rerun))
     rerun_ok = (
         rerun.failed_indices() == res0.failed_indices()
         and rerun.outputs_digest() == res0.outputs_digest()
@@ -1624,6 +1628,16 @@ def storm_eval(
         f"(histogram windows, no tensors kept) — failed set and outputs "
         f"digest {res0.outputs_digest()} identical: "
         f"{'PASS' if rerun_ok else 'FAIL'}"
+    )
+    # a submit that falls behind the dilated schedule shows as wall time
+    # past the schedule and as submit lag
+    notes.append(
+        f"replays (wall s / max submit lag ms), schedule "
+        f"{trace.spec.horizon_s / dilation:.1f} s: "
+        + ", ".join(
+            f"{name} {res.wall_s:.1f} / {1e3 * res.max_submit_lag_s:.1f}"
+            for name, res in replays
+        )
     )
     notes.extend([
         f"trace: digest {trace.digest()}, {len(trace)} requests over "

@@ -340,9 +340,12 @@ class SegmentTable:
     Immutable once built.  It holds every pack its rows point at, so
     whoever holds the table holds the weights it runs; a caller whose
     weights changed binds a new table rather than editing this one.
+    The rows' address is taken once, here, since the rows never move.
     """
 
-    __slots__ = ("rows", "in_shape", "flat_input", "out_shapes", "packs")
+    __slots__ = (
+        "rows", "rows_ptr", "in_shape", "flat_input", "out_shapes", "packs",
+    )
 
     def __init__(self, stages):
         stages = tuple(stages)
@@ -356,6 +359,7 @@ class SegmentTable:
                 )
         self.rows = np.stack([s.row for s in stages])
         self.rows.setflags(write=False)
+        self.rows_ptr = self.rows.ctypes.data
         self.in_shape = stages[0].in_shape
         self.flat_input = stages[0].flat_input
         self.out_shapes = tuple(s.out_shape for s in stages)
@@ -473,7 +477,7 @@ class _Leaves:
         bsz = len(xb)
         outs = [np.empty((bsz, *s), dtype=np.int8) for s in table.out_shapes]
         _check(self._segment(
-            table.rows.ctypes.data, len(outs), bsz, xb.ctypes.data,
+            table.rows_ptr, len(outs), bsz, xb.ctypes.data,
             (ctypes.c_void_p * len(outs))(*[o.ctypes.data for o in outs]),
         ))
         return outs

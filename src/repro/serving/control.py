@@ -14,7 +14,8 @@ about it, as one small declarative model instead of ad-hoc setters:
   of :class:`ConfigChange` records, surfaced in ``Dispatcher.stats``;
 * :class:`Autoscaler` — a pure decision function growing/shrinking the
   worker pool from queue depth and the per-tenant EWMA service
-  estimates the queue already tracks.
+  estimates the queue already tracks, consulted once per supervisor
+  sweep.
 
 The shape follows the config/state/action split of network-element
 configuration daemons: consumers *subscribe* to config changes and
@@ -204,7 +205,9 @@ class FleetConfig:
     #: scale down while backlog would fit this many batches per worker
     #: on one fewer worker
     scale_down_backlog: float = 0.25
-    #: consecutive low-load observations required before shrinking
+    #: consecutive low-load autoscaler observations required before
+    #: shrinking; the dispatcher observes once per supervisor sweep, so
+    #: this counts sweeps (``scale_patience x supervise_interval_s``)
     scale_patience: int = 3
     #: minimum seconds between autoscaler resizes
     scale_cooldown_s: float = 0.05
@@ -215,7 +218,8 @@ class FleetConfig:
     breaker_threshold: int = 4
     #: seconds an open breaker waits before probing the primary backend
     breaker_cooldown_s: float = 0.5
-    #: supervisor sweep period (dead-worker detection and respawn)
+    #: supervisor sweep period: each sweep respawns dead workers, then
+    #: makes the fleet's one autoscaler observation (elastic fleets)
     supervise_interval_s: float = 0.05
     #: fleet-wide retry budget: retries beyond the mandatory quarantine
     #: isolation run may never exceed ``retry_budget_burst +
@@ -409,7 +413,10 @@ class ControlPlane:
     then swaps it and notifies every subscriber in subscription order
     under one lock — a reader never observes half a reconfiguration.
     The bounded audit trail records every swap (and, via
-    :meth:`record`, every autoscaler action) for ``stats``.
+    :meth:`record`, every fleet event: a resize made on the supervisor's
+    sweep or by a narrowed worker range, a crash, a quarantine, a
+    breaker transition) for ``stats``.  Swaps and records may come from
+    any thread.
     """
 
     def __init__(
@@ -496,7 +503,11 @@ class Autoscaler:
 
     Stateless about the fleet itself — the dispatcher feeds every
     observation in and applies the returned target — so the policy is
-    unit-testable with synthetic load and injected clocks.  Two signals:
+    unit-testable with synthetic load and injected clocks.  The
+    dispatcher observes once per supervisor sweep
+    (``supervise_interval_s``), never on submit or after a batch, so an
+    observation costs the fleet per sweep, not per request.  Two
+    signals:
 
     * **backlog**: queued batches per worker
       (``queue_depth / max_batch / workers``); above
@@ -509,15 +520,17 @@ class Autoscaler:
       that budget — capacity planning, not just thresholding.
 
     Shrinking needs ``scale_patience`` consecutive low-load
-    observations, and every resize respects ``scale_cooldown_s``; both
-    guard against thrash on bursty arrivals.  The ``min_workers`` /
-    ``max_workers`` clamp is enforced immediately, cooldown or not,
-    because it is a hard config bound rather than a load decision.
+    observations (sweeps), and every resize respects
+    ``scale_cooldown_s``; both guard against thrash on bursty arrivals.
+    The ``min_workers`` / ``max_workers`` clamp is enforced immediately,
+    cooldown or not, because it is a hard config bound rather than a
+    load decision.
     """
 
     def __init__(self, config: FleetConfig | None = None):
         self._config = config if config is not None else FleetConfig()
-        # decide() is called from every submitter and worker thread;
+        # decisions run on the dispatcher's supervisor thread, but
+        # apply_config runs on whichever thread reconfigures the fleet;
         # the streak/cooldown bookkeeping must not be torn between them
         self._lock = threading.Lock()
         self._cool_until = 0.0
@@ -556,9 +569,9 @@ class Autoscaler:
     ) -> int | None:
         """New worker target, or ``None`` to leave the fleet alone.
 
-        Serialized internally: concurrent observers (every submit and
-        batch completion calls in) would otherwise tear the shrink
-        streak and let two callers both pass the cooldown check.
+        Serialized internally with :meth:`apply_config`, which resets
+        the shrink streak from another thread, and with any second
+        caller, which could otherwise pass the cooldown check twice.
         """
         with self._lock:
             cfg = self._config

@@ -23,8 +23,11 @@ The scale-out layer above :class:`~repro.serving.session.Session`:
   priority/weighted-stride/deadline policy;
 * the **autoscaler** grows and shrinks the worker pool inside the
   config's range from queue depth and the per-tenant EWMA service
-  estimates, with hysteresis; resizes land in the audit trail.  A fixed
-  fleet (``min_workers == max_workers``) skips it;
+  estimates (or the M/G/k capacity planner), with hysteresis; resizes
+  land in the audit trail.  It observes only on the supervisor's sweep,
+  every ``supervise_interval_s``, so ``submit`` and the workers make no
+  autoscaler call, and a fixed fleet (``min_workers == max_workers``)
+  skips it;
 * **workers** are threads that pop batches and dispatch them through
   the tenant's warmed :class:`Session`.  The hot path releases the GIL
   for the whole native segment pass (or inside NumPy and BLAS without
@@ -47,12 +50,13 @@ clock and *which* requests are shed under overload — never bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -123,10 +127,13 @@ class DispatchResult:
 
 @dataclass
 class TenantStats:
-    """Per-tenant aggregate counters (a snapshot, not live state).
+    """Per-tenant aggregate counters.
 
     ``latencies_s`` (and the percentiles over it) cover the most recent
     :data:`LATENCY_WINDOW` requests; the scalar counters are lifetime.
+    The dispatcher keeps one live record per tenant, its window a
+    bounded ``deque``, and ``Dispatcher.stats`` hands out copies with
+    the window frozen into a tuple.
     """
 
     requests: int = 0
@@ -465,29 +472,22 @@ class Dispatcher:
         self._autoscaler = Autoscaler(config)
         self.control.subscribe(self.queue)
         self.control.subscribe(self._autoscaler)
-        self._seq = 0
+        self._seq = itertools.count()
         self._admitted = 0
         self._submit_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._completed = 0
-        self._failed = 0
-        self._batches = 0
         self._first_submit_t: float | None = None
         self._last_done_t: float | None = None
-        self._tenant_requests = {t: 0 for t in self.sessions}
-        self._tenant_batches = {t: 0 for t in self.sessions}
-        self._tenant_hits = {t: 0 for t in self.sessions}
-        self._tenant_misses = {t: 0 for t in self.sessions}
-        self._tenant_failed = {t: 0 for t in self.sessions}
-        self._tenant_quarantined = {t: 0 for t in self.sessions}
-        self._tenant_latencies: dict[str, deque[float]] = {
-            t: deque(maxlen=LATENCY_WINDOW) for t in self.sessions
+        #: the live per-tenant counters; the fleet-wide completed,
+        #: failed, batches and quarantined counts are their sums
+        self._tenant_stats = {
+            t: TenantStats(latencies_s=deque(maxlen=LATENCY_WINDOW))
+            for t in self.sessions
         }
         #: EWMA of per-batch service seconds, the deadline-flush estimate
         self._service_s: dict[str, float | None] = {
             t: None for t in self.sessions
         }
-        self._quarantined = 0
         self._retries = 0
         self._retry_denied = 0
         #: fleet-wide retry guardrail: admissions fill it, retries drain
@@ -731,7 +731,7 @@ class Dispatcher:
             th.start()
 
     def _supervise(self) -> None:
-        """One watchdog sweep: respawn worker threads that crashed.
+        """One watchdog sweep: respawn crashed workers, then autoscale.
 
         A *crashed* worker is one whose thread exited without recording
         itself in ``_clean_exits`` — retirement, queue close and
@@ -740,7 +740,8 @@ class Dispatcher:
         current target (``min_workers..max_workers`` still governs the
         target itself) and audits the crash; it deliberately does *not*
         diagnose causes — dead is dead, and the only correct response
-        is a fresh thread.
+        is a fresh thread.  It then makes the fleet's one autoscaler
+        observation, outside the scale lock.
         """
         if self._closed:
             return
@@ -771,13 +772,17 @@ class Dispatcher:
                 f"{self._target_workers} shard(s)",
             )
             self.queue.kick()
+        self._maybe_autoscale()
 
     def _maybe_autoscale(self) -> None:
-        """One autoscaler observation (called on submit / batch done).
+        """One autoscaler observation (once per supervisor sweep).
 
-        A fixed fleet (``min_workers == max_workers``) cannot resize, so
-        it observes nothing.  ``autoscale_mode="model"`` plans the worker
-        target from first principles — the M/G/k capacity planner at the
+        Observing on the sweep keeps planning off the request path: its
+        cost is per sweep, not per request or per batch, and
+        ``scale_patience`` counts sweeps.  A fixed fleet
+        (``min_workers == max_workers``) cannot resize, so it observes
+        nothing.  ``autoscale_mode="model"`` plans the worker target
+        from first principles — the M/G/k capacity planner at the
         *measured* arrival rate and service profile, times
         ``fault_headroom`` while any circuit breaker is open — and only
         falls back to the queue-depth heuristic until enough
@@ -794,8 +799,6 @@ class Dispatcher:
                 ):
                     planned = math.ceil(planned * cfg.fault_headroom)
                 planned = min(planned, cfg.max_workers)
-                with self._stats_lock:
-                    self._planned_workers = planned
                 target = self._autoscaler.decide_target(
                     target=planned,
                     workers=self._target_workers,
@@ -803,6 +806,10 @@ class Dispatcher:
                 )
                 if target is not None and target != self._target_workers:
                     self._resize(target, reason="autoscale-model")
+                # published after the resize: whoever reads this plan in
+                # stats also reads the worker target it already steered
+                with self._stats_lock:
+                    self._planned_workers = planned
                 return
         with self._stats_lock:
             estimates = [
@@ -908,11 +915,8 @@ class Dispatcher:
                 f"deadline_s must be positive, got {deadline_s}"
             )
         now = time.monotonic()
-        with self._submit_lock:
-            seq = self._seq
-            self._seq += 1
         ticket = Ticket(
-            tenant=tenant, feeds=feeds, request_seq=seq,
+            tenant=tenant, feeds=feeds, request_seq=next(self._seq),
             enqueue_t=now, deadline_t=now + deadline_s,
         )
         self.queue.put(ticket)  # AdmissionError propagates to the caller
@@ -927,7 +931,6 @@ class Dispatcher:
         # every admission deposits retry allowance: the budget is a
         # ratio of real work, not wall clock
         self._retry_budget.note_admitted()
-        self._maybe_autoscale()
         return ticket
 
     def run_many(
@@ -1032,7 +1035,6 @@ class Dispatcher:
             return
         self._breaker_event(tenant, breaker.record(True, probe=probe))
         self._complete(worker_id, tenant, batch, served, t0, t1)
-        self._maybe_autoscale()
 
     def _execute_once(
         self,
@@ -1085,8 +1087,7 @@ class Dispatcher:
     ) -> None:
         """Re-run a failed batch's members individually (poison isolation)."""
         with self._stats_lock:
-            self._quarantined += len(batch)
-            self._tenant_quarantined[tenant] += len(batch)
+            self._tenant_stats[tenant].quarantined += len(batch)
         self.control.record(
             "quarantine",
             f"worker {worker_id}: batch of {len(batch)} for "
@@ -1094,7 +1095,6 @@ class Dispatcher:
         )
         for ticket in batch:
             self._serve_single(worker_id, tenant, ticket, batch_exc)
-        self._maybe_autoscale()
 
     def _serve_single(
         self,
@@ -1175,8 +1175,7 @@ class Dispatcher:
             detail="quarantined after a failed batch",
         )
         with self._stats_lock:
-            self._failed += 1
-            self._tenant_failed[tenant] += 1
+            self._tenant_stats[tenant].failed += 1
         ticket._fail(error)
 
     def _complete(
@@ -1198,19 +1197,16 @@ class Dispatcher:
                 else 0.5 * prev + 0.5 * service_s
             )
             self._span_history.append((service_s, len(batch)))
-            self._completed += len(batch)
-            self._batches += 1
-            self._tenant_batches[tenant] += 1
             self._last_done_t = t1
+            ts = self._tenant_stats[tenant]
+            ts.batches += 1
+            ts.requests += len(batch)
             for ticket in batch:
-                self._tenant_requests[tenant] += 1
-                self._tenant_latencies[tenant].append(
-                    t1 - ticket.enqueue_t
-                )
+                ts.latencies_s.append(t1 - ticket.enqueue_t)
                 if t1 <= ticket.deadline_t:
-                    self._tenant_hits[tenant] += 1
+                    ts.deadline_hits += 1
                 else:
-                    self._tenant_misses[tenant] += 1
+                    ts.deadline_misses += 1
         for ticket, rr in zip(batch, served):
             ticket._fulfill(
                 DispatchResult(
@@ -1279,9 +1275,8 @@ class Dispatcher:
             )
             error.__cause__ = exc
             with self._stats_lock:
-                self._failed += len(pending)
                 for t in pending:
-                    self._tenant_failed[t.tenant] += 1
+                    self._tenant_stats[t.tenant].failed += 1
             for t in pending:
                 t._fail(error)
         self.control.record(
@@ -1298,16 +1293,8 @@ class Dispatcher:
         """A consistent snapshot of the dispatcher's counters."""
         with self._stats_lock:
             per_tenant = {
-                t: TenantStats(
-                    requests=self._tenant_requests[t],
-                    batches=self._tenant_batches[t],
-                    deadline_hits=self._tenant_hits[t],
-                    deadline_misses=self._tenant_misses[t],
-                    latencies_s=tuple(self._tenant_latencies[t]),
-                    failed=self._tenant_failed[t],
-                    quarantined=self._tenant_quarantined[t],
-                )
-                for t in self.sessions
+                t: replace(ts, latencies_s=tuple(ts.latencies_s))
+                for t, ts in self._tenant_stats.items()
             }
             wall = 0.0
             if self._first_submit_t is not None and self._last_done_t:
@@ -1315,9 +1302,9 @@ class Dispatcher:
             return DispatchStats(
                 submitted=self._admitted,
                 rejected=self.queue.rejected,
-                completed=self._completed,
-                failed=self._failed,
-                batches=self._batches,
+                completed=sum(t.requests for t in per_tenant.values()),
+                failed=sum(t.failed for t in per_tenant.values()),
+                batches=sum(t.batches for t in per_tenant.values()),
                 peak_queue_depth=self.queue.peak_depth,
                 wall_s=wall,
                 per_tenant=per_tenant,
@@ -1326,7 +1313,9 @@ class Dispatcher:
                 workers=self._target_workers,
                 config_epoch=self.control.epoch,
                 audit=self.control.audit(),
-                quarantined=self._quarantined,
+                quarantined=sum(
+                    t.quarantined for t in per_tenant.values()
+                ),
                 retries=self._retries,
                 retry_denied=self._retry_denied,
                 retry_budget=self._retry_budget.snapshot,
@@ -1382,9 +1371,8 @@ class Dispatcher:
         leftovers = self.queue.drain()
         if leftovers:
             with self._stats_lock:
-                self._failed += len(leftovers)
                 for t in leftovers:
-                    self._tenant_failed[t.tenant] += 1
+                    self._tenant_stats[t.tenant].failed += 1
             error = ServingError(
                 "dispatcher closed before this request could be "
                 "served; submit to a live dispatcher (or close with a "

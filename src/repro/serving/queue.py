@@ -31,7 +31,9 @@ it subscribes to:
 
 Batches are always single-tenant (different tenants run different
 models and can never share a stacked GEMM) and FIFO *within* the
-tenant.  All state is guarded by one condition variable; ``pop_batch``
+tenant, so the queue keeps one FIFO per tenant with queued work and a
+running depth: a put, a shed or a pop costs O(tenants), whatever the
+depth.  All state is guarded by one condition variable; ``pop_batch``
 re-derives its view after every wait, so any number of workers can
 block in it concurrently without double-claiming a request, and a
 live ``apply_config`` lands at the next scheduling decision.
@@ -39,8 +41,10 @@ live ``apply_config`` lands at the next scheduling decision.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from collections import deque
 from typing import Callable, Mapping
 
 import numpy as np
@@ -147,6 +151,12 @@ class Ticket:
 class RequestQueue:
     """Bounded ticket queue with QoS-aware micro-batch forming.
 
+    The queue holds one FIFO per tenant with queued work (a tenant's
+    FIFO goes when it empties) plus a running depth.  Admission reads
+    one FIFO length, shedding one tail per tenant and batch forming one
+    head per tenant, so no call but :meth:`drain` walks the queued
+    tickets.
+
     Parameters
     ----------
     max_depth:
@@ -170,10 +180,14 @@ class RequestQueue:
             )
         config.validate()
         self._config = config
-        self._items: list[Ticket] = []
+        #: tenant -> its queued tickets, oldest first; never empty
+        self._fifos: dict[str, deque[Ticket]] = {}
+        #: queued tickets over every FIFO
+        self._depth = 0
         self._cond = threading.Condition()
         self._closed = False
-        #: weighted-stride pass per tenant (the fairness state)
+        #: weighted-stride pass per tenant (the fairness state); every
+        #: tenant with a FIFO has one
         self._pass: dict[str, float] = {}
         #: admission-control rejections over the queue's lifetime
         self.rejected = 0
@@ -184,7 +198,7 @@ class RequestQueue:
 
     def __len__(self) -> int:
         with self._cond:
-            return len(self._items)
+            return self._depth
 
     @property
     def closed(self) -> bool:
@@ -241,63 +255,70 @@ class RequestQueue:
                 )
             cfg = self._config
             policy = cfg.policy(ticket.tenant)
-            if policy.quota is not None:
-                queued = sum(
-                    1 for t in self._items if t.tenant == ticket.tenant
+            if (
+                policy.quota is not None
+                and len(self._fifos.get(ticket.tenant, ())) >= policy.quota
+            ):
+                self.rejected += 1
+                raise AdmissionError(
+                    f"tenant {ticket.tenant!r} is at its admission "
+                    f"quota ({policy.quota} queued); retry later or "
+                    "raise the tenant's quota via apply_config"
                 )
-                if queued >= policy.quota:
-                    self.rejected += 1
-                    raise AdmissionError(
-                        f"tenant {ticket.tenant!r} is at its admission "
-                        f"quota ({policy.quota} queued); retry later or "
-                        "raise the tenant's quota via apply_config"
-                    )
-            if len(self._items) >= cfg.max_queue_depth:
-                victim = self._shed_candidate(policy.priority)
-                if victim is None:
+            if self._depth >= cfg.max_queue_depth:
+                tenant = self._shed_candidate(policy.priority)
+                if tenant is None:
                     self.rejected += 1
                     raise AdmissionError(
                         f"request queue at capacity "
                         f"({cfg.max_queue_depth}); retry later, raise "
                         "max_queue_depth, or add workers"
                     )
-                self._items.remove(victim)
+                fifo = self._fifos[tenant]
+                victim = fifo.pop()
+                if not fifo:
+                    del self._fifos[tenant]
+                self._depth -= 1
                 self.shed += 1
                 victim._fail(
                     AdmissionError(
                         f"request {victim.request_seq} "
-                        f"({victim.tenant!r}, priority "
-                        f"{cfg.policy(victim.tenant).priority}) was shed "
+                        f"({tenant!r}, priority "
+                        f"{cfg.policy(tenant).priority}) was shed "
                         "from a full queue to admit higher-priority "
                         "work; retry later or raise max_queue_depth"
                     )
                 )
-            self._seed_pass(ticket.tenant)
-            self._items.append(ticket)
-            self.peak_depth = max(self.peak_depth, len(self._items))
+            fifo = self._fifos.get(ticket.tenant)
+            if fifo is None:
+                self._seed_pass(ticket.tenant)
+                fifo = self._fifos[ticket.tenant] = deque()
+            fifo.append(ticket)
+            self._depth += 1
+            self.peak_depth = max(self.peak_depth, self._depth)
             self._cond.notify_all()
 
-    def _shed_candidate(self, incoming_priority: int) -> Ticket | None:
-        """The queued ticket to evict for an ``incoming_priority`` request.
+    def _shed_candidate(self, incoming_priority: int) -> str | None:
+        """The tenant whose newest ticket to evict for a newcomer.
 
-        The *newest* request of the strictly-lowest priority class below
-        the newcomer (newest: it has waited least, so failing it wastes
-        the least progress).  ``None`` when nothing queued is strictly
-        less important — then the newcomer itself is rejected.
+        The newest tail of the lowest priority class strictly below
+        ``incoming_priority`` (newest: it has waited least, so failing
+        it wastes the least progress).  ``None`` when nothing queued is
+        strictly less important — then the newcomer itself is rejected.
         """
         cfg = self._config
-        victim: Ticket | None = None
-        victim_priority = incoming_priority
-        for t in self._items:
-            p = cfg.policy(t.tenant).priority
-            if p < victim_priority or (
-                victim is not None
-                and p == victim_priority
-                and t.request_seq > victim.request_seq
-            ):
-                victim = t
-                victim_priority = p
-        return victim
+        return min(
+            (
+                t
+                for t in self._fifos
+                if cfg.policy(t).priority < incoming_priority
+            ),
+            key=lambda t: (
+                cfg.policy(t).priority,
+                -self._fifos[t][-1].request_seq,
+            ),
+            default=None,
+        )
 
     def _seed_pass(self, tenant: str) -> None:
         """Stride bookkeeping for a tenant (re)entering the queue.
@@ -308,15 +329,11 @@ class RequestQueue:
         the return.  An empty queue resets the epoch entirely, keeping
         the passes bounded over a long-lived dispatcher.
         """
-        if not self._items:
+        if not self._fifos:
             self._pass.clear()
             self._pass[tenant] = 0.0
             return
-        if any(t.tenant == tenant for t in self._items):
-            return
-        floor = min(
-            self._pass.get(t.tenant, 0.0) for t in self._items
-        )
+        floor = min(self._pass[t] for t in self._fifos)
         self._pass[tenant] = max(self._pass.get(tenant, 0.0), floor)
 
     def close(self) -> None:
@@ -326,7 +343,7 @@ class RequestQueue:
             self._cond.notify_all()
 
     def drain(self) -> list[Ticket]:
-        """Atomically remove and return every queued ticket.
+        """Atomically remove and return every queued ticket, oldest first.
 
         The dispatcher's close path calls this after the worker join
         deadline: whatever is still queued then has no worker left to
@@ -334,7 +351,12 @@ class RequestQueue:
         no waiter deadlocks on a dispatcher that already shut down.
         """
         with self._cond:
-            items, self._items = self._items, []
+            items = sorted(
+                (t for fifo in self._fifos.values() for t in fifo),
+                key=lambda t: t.request_seq,
+            )
+            self._fifos.clear()
+            self._depth = 0
             self._pass.clear()
             self._cond.notify_all()
             return items
@@ -376,75 +398,30 @@ class RequestQueue:
             while True:
                 if stop is not None and stop():
                     return None
-                if not self._items:
+                if not self._fifos:
                     if self._closed:
                         return None
                     self._cond.wait()
                     continue
                 cfg = self._config
                 now_t = time.monotonic()
-                if cfg.scheduling == "fifo":
-                    tenant = self._items[0].tenant
-                else:
-                    tenant = self._select_tenant(
-                        cfg, max_batch, batch_timeout_s,
-                        service_estimate, now_t,
-                    )
+                tenant, wake_at = self._select_tenant(
+                    cfg, max_batch, batch_timeout_s, service_estimate, now_t
+                )
                 if tenant is None:
                     # nothing due: sleep until the earliest head could
                     # become due (puts/closes/config swaps notify)
-                    wake_at = min(
-                        self._flush_at(
-                            head, batch_timeout_s, service_estimate
-                        )
-                        for head in self._heads().values()
-                    )
                     self._cond.wait(max(0.0, wake_at - now_t))
                     continue
-                head = next(
-                    t for t in self._items if t.tenant == tenant
-                )
-                count = sum(
-                    1 for t in self._items if t.tenant == tenant
-                )
-                due = (
-                    count >= max_batch
-                    or self._closed
-                    or now_t
-                    >= self._flush_at(
-                        head, batch_timeout_s, service_estimate
-                    )
-                )
-                if not due:
-                    # fifo mode: the head tenant alone defines the batch
-                    self._cond.wait(
-                        max(
-                            0.0,
-                            self._flush_at(
-                                head, batch_timeout_s, service_estimate
-                            )
-                            - now_t,
-                        )
-                    )
-                    continue
+                fifo = self._fifos[tenant]
                 batch = [
-                    t for t in self._items if t.tenant == tenant
-                ][:max_batch]
-                for t in batch:
-                    self._items.remove(t)
-                policy = cfg.policy(tenant)
-                self._pass[tenant] = self._pass.get(
-                    tenant, 0.0
-                ) + len(batch) / policy.weight
+                    fifo.popleft() for _ in range(min(max_batch, len(fifo)))
+                ]
+                if not fifo:
+                    del self._fifos[tenant]
+                self._depth -= len(batch)
+                self._pass[tenant] += len(batch) / cfg.policy(tenant).weight
                 return batch
-
-    def _heads(self) -> dict[str, Ticket]:
-        """Oldest queued ticket per tenant, in arrival order."""
-        heads: dict[str, Ticket] = {}
-        for t in self._items:
-            if t.tenant not in heads:
-                heads[t.tenant] = t
-        return heads
 
     @staticmethod
     def _flush_at(
@@ -468,33 +445,37 @@ class RequestQueue:
         batch_timeout_s: float,
         service_estimate: Callable[[str], float | None],
         now_t: float,
-    ) -> str | None:
-        """The due tenant to serve next, or ``None`` if nothing is due.
+    ) -> tuple[str | None, float]:
+        """The due tenant to serve next (``None`` if none is due) and the
+        earliest instant a head weighed but not yet due becomes due.
 
         Highest priority class first; inside the class, the smallest
-        weighted stride pass; ties broken by arrival order.  Fullness
-        (``count >= max_batch``) makes a tenant due immediately — a
-        full batch gains nothing by waiting.
+        weighted stride pass; ties broken by arrival order (the head's
+        ``request_seq``).  Fullness (``len(fifo) >= max_batch``) makes a
+        tenant due immediately — a full batch gains nothing by waiting.
+        ``"fifo"`` scheduling weighs only the tenant of the oldest head
+        and waits for it even while another tenant is due.
         """
-        heads = self._heads()
-        counts: dict[str, int] = {}
-        for t in self._items:
-            counts[t.tenant] = counts.get(t.tenant, 0) + 1
-        due = [
-            tenant
-            for tenant, head in heads.items()
-            if self._closed
-            or counts[tenant] >= max_batch
-            or now_t
-            >= self._flush_at(head, batch_timeout_s, service_estimate)
-        ]
-        if not due:
-            return None
-        return min(
-            due,
-            key=lambda tenant: (
+        fifos = self._fifos
+        if cfg.scheduling == "fifo":
+            weighed = [min(fifos, key=lambda t: fifos[t][0].request_seq)]
+        else:
+            weighed = fifos
+        best, best_key, wake_at = None, None, math.inf
+        for tenant in weighed:
+            fifo = fifos[tenant]
+            head = fifo[0]
+            flush_at = self._flush_at(head, batch_timeout_s, service_estimate)
+            if not (
+                self._closed or len(fifo) >= max_batch or now_t >= flush_at
+            ):
+                wake_at = min(wake_at, flush_at)
+                continue
+            key = (
                 -cfg.policy(tenant).priority,
-                self._pass.get(tenant, 0.0),
-                heads[tenant].request_seq,
-            ),
-        )
+                self._pass[tenant],
+                head.request_seq,
+            )
+            if best_key is None or key < best_key:
+                best, best_key = tenant, key
+        return best, wake_at

@@ -19,8 +19,9 @@ backend in this repo is bit-exact by construction:
   a dropped dispatcher can still be garbage collected) and periodically
   asks it to :meth:`~repro.serving.dispatcher.Dispatcher._supervise`:
   respawn dead worker threads within ``min_workers..max_workers`` and
-  audit the crash in the control-plane trail.  It owns the failure mode
-  nobody is waiting on: a worker thread that died.
+  audit the crash in the control-plane trail, then make the
+  autoscaler's one observation.  It owns the failure mode nobody is
+  waiting on: a worker thread that died.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class CircuitBreaker:
 def supervisor_loop(
     dispatcher_ref: "weakref.ref", stop: threading.Event
 ) -> None:
-    """Watchdog thread body: periodically respawn dead worker threads.
+    """Watchdog thread body: periodically respawn workers and autoscale.
 
     Holds the dispatcher only through ``dispatcher_ref`` and drops the
     strong reference before every sleep, so an abandoned dispatcher is

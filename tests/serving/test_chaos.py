@@ -220,3 +220,77 @@ class TestChaosHammer:
                 d.submit(random_int8(
                     np.random.default_rng(9), input_shape(compiled_cls)
                 )).result(RESULT_TIMEOUT_S)
+
+    def test_per_tenant_counts_match_the_tickets(self, compiled_cls):
+        # Each tenant's failed and quarantined counts are exactly that
+        # tenant's tickets that raised or were quarantined, and the
+        # fleet's counts are their sums.  Permanent poison fails its
+        # request, transient poison survives the isolation run, and a
+        # hang parks the only worker so a tail is still queued at close.
+        n, tail = 24, 6
+        permanent, transient = (2, 5, 11, 16), (3, 8, 13)
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(site="dispatch.request", keys=permanent),
+                FaultSpec(
+                    site="dispatch.request", keys=transient, fail_attempts=1
+                ),
+                FaultSpec(
+                    site="dispatch.request", kind="hang", keys=(n,),
+                    hang_s=1.0,
+                ),
+            )
+        )
+        cfg = FleetConfig(
+            min_workers=1, max_workers=1, max_batch=1,
+            max_queue_depth=256, default_deadline_s=60.0,
+        )
+        tenants = ("a", "b")
+        rng = np.random.default_rng(10)
+        d = Dispatcher(
+            {t: compiled_cls for t in tenants}, workers=1, config=cfg,
+            faults=plan,
+        )
+
+        def submit(seqs):
+            return [
+                d.submit(
+                    random_int8(rng, input_shape(compiled_cls)),
+                    tenant=tenants[seq % 2],
+                )
+                for seq in seqs
+            ]
+
+        def settle(batch):
+            for t in batch:
+                try:
+                    t.result(RESULT_TIMEOUT_S)
+                except ServingError as exc:
+                    raised[t.request_seq] = exc
+
+        raised = {}
+        tickets = []
+        try:
+            tickets += submit(range(n))
+            settle(tickets)
+            tickets += submit(range(n, n + tail))
+        finally:
+            d.close(timeout=0.2)
+        settle(tickets[n:])
+        stats = d.stats
+        # submission is single-threaded: request_seq == submit index
+        assert [t.request_seq for t in tickets] == list(range(n + tail))
+        assert {
+            s for s, e in raised.items() if isinstance(e, RequestFailedError)
+        } == set(permanent)
+        assert any(
+            "closed before" in str(e) for s, e in raised.items() if s >= n
+        )
+        for tenant in tenants:
+            mine = {t.request_seq for t in tickets if t.tenant == tenant}
+            ts = stats.per_tenant[tenant]
+            assert ts.failed == len(mine & set(raised))
+            assert ts.quarantined == len(mine & {*permanent, *transient})
+        assert stats.failed == len(raised)
+        assert stats.quarantined == len(permanent) + len(transient)
+        assert stats.submitted == stats.completed + stats.failed + stats.shed

@@ -352,16 +352,17 @@ class TestLiveReconfiguration:
         # The backlog must reach the autoscaler before any batch finishes:
         # from the first service sample on, its drain-time rule (backlog x
         # service time within half the 30 s deadline) rightly keeps one
-        # worker.  Batches wait until the burst is queued; otherwise a
-        # first request served before the next two submits would race it.
-        burst_queued = threading.Event()
+        # worker.  The autoscaler observes only on the supervisor's sweep,
+        # so batches wait until a sweep has audited the resize (or the
+        # deadline passes), whenever the sweep happens to land.
+        scaled = threading.Event()
         run_batch = Session.run_batch
 
-        def after_burst(self, *args, **kwargs):
-            burst_queued.wait(60.0)
+        def after_scale(self, *args, **kwargs):
+            scaled.wait(60.0)
             return run_batch(self, *args, **kwargs)
 
-        monkeypatch.setattr(Session, "run_batch", after_burst)
+        monkeypatch.setattr(Session, "run_batch", after_scale)
         cfg = FleetConfig(
             min_workers=1, max_workers=3, max_batch=1,
             max_queue_depth=256, scale_cooldown_s=0.0,
@@ -373,7 +374,12 @@ class TestLiveReconfiguration:
                 d.submit(random_int8(rng, input_shape(compiled_cls)))
                 for _ in range(24)
             ]
-            burst_queued.set()
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and not any(
+                c.kind == "scale" for c in d.control.audit()
+            ):
+                time.sleep(0.005)
+            scaled.set()
             for t in tickets:
                 t.result(60.0)
             st_ = d.stats

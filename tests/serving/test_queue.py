@@ -3,7 +3,9 @@
 The batch former's contract, exercised deterministically with real (but
 short) clocks: flush on size, flush on timeout, flush early under
 deadline pressure, group by the head request's tenant in FIFO order, and
-never double-claim a ticket across concurrent workers.
+never double-claim a ticket across concurrent workers.  The per-tenant
+FIFOs pop at the same cost at any depth and decide exactly as a flat
+list of every queued ticket would.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import AdmissionError, ServingError
 from repro.serving.control import FleetConfig, TenantPolicy
@@ -402,3 +405,231 @@ class TestTicket:
             assert seen == ["payload"]
         finally:
             t._settled.release()
+
+
+# --------------------------------------------------------------------------- #
+# per-tenant FIFOs: flat cost and equivalence with one flat list
+# --------------------------------------------------------------------------- #
+def test_pop_cost_does_not_grow_with_depth():
+    tenants = "abcd"
+
+    def pop_cost(depth, repeats=300):
+        q = RequestQueue(max_depth=2 * depth)
+        for seq in range(depth):
+            q.put(ticket(tenants[seq % len(tenants)], seq))
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            batch = q.pop_batch(8, 0.0, NO_ESTIMATE)
+            best = min(best, time.perf_counter() - t0)
+            for t in batch:  # hold the depth
+                q.put(t)
+        assert len(q) == depth
+        return best
+
+    shallow, deep = pop_cost(100), pop_cost(10_000)
+    # one head per tenant whatever the depth; a scan of every queued
+    # ticket costs some 50x more at 10,000 than at 100
+    assert deep <= 5 * shallow, (shallow, deep)
+
+
+class FlatQueueModel:
+    """The batch former's rules over one flat list of queued tickets.
+
+    Each rule reads the whole list: the quota counts the tenant's
+    tickets, shedding takes the newest ticket of the lowest class below
+    the newcomer, stride seeding reads every queued tenant, and a pop
+    finds each tenant's head and count.  Items are ``(tenant, seq)`` in
+    put order.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.items = []
+        self.passes = {}
+        self.closed = False
+        self.peak = 0
+
+    def put(self, tenant, seq):
+        cfg = self.cfg
+        if self.closed:
+            return "closed"
+        policy = cfg.policy(tenant)
+        queued = [s for t, s in self.items if t == tenant]
+        if policy.quota is not None and len(queued) >= policy.quota:
+            return "quota"
+        victim = None
+        if len(self.items) >= cfg.max_queue_depth:
+            lower = [
+                (cfg.policy(t).priority, -s, t)
+                for t, s in self.items
+                if cfg.policy(t).priority < policy.priority
+            ]
+            if not lower:
+                return "capacity"
+            _, neg_seq, victim_tenant = min(lower)
+            victim = -neg_seq
+            self.items.remove((victim_tenant, victim))
+        if not self.items:
+            self.passes = {tenant: 0.0}
+        elif not queued:
+            floor = min(self.passes[t] for t, _ in self.items)
+            self.passes[tenant] = max(self.passes.get(tenant, 0.0), floor)
+        self.items.append((tenant, seq))
+        self.peak = max(self.peak, len(self.items))
+        return ("admitted", victim)
+
+    def pop(self, max_batch, timed_out):
+        """The batch's seqs, or ``None`` when a pop would block or end."""
+        cfg = self.cfg
+        heads, counts = {}, {}
+        for t, s in self.items:
+            heads.setdefault(t, s)
+            counts[t] = counts.get(t, 0) + 1
+
+        def due(t):
+            return self.closed or counts[t] >= max_batch or timed_out
+
+        if cfg.scheduling == "fifo":
+            candidates = [self.items[0][0]] if self.items else []
+        else:
+            candidates = list(heads)
+        candidates = [t for t in candidates if due(t)]
+        if not candidates:
+            return None
+        tenant = min(
+            candidates,
+            key=lambda t: (-cfg.policy(t).priority, self.passes[t], heads[t]),
+        )
+        batch = [s for t, s in self.items if t == tenant][:max_batch]
+        self.items = [(t, s) for t, s in self.items if s not in batch]
+        self.passes[tenant] += len(batch) / cfg.policy(tenant).weight
+        return batch
+
+    def drain(self):
+        out = [s for _, s in self.items]
+        self.items, self.passes = [], {}
+        return out
+
+
+def pop_or_none(q, max_batch, batch_timeout_s):
+    """``pop_batch`` if a batch is due at once; ``None`` where it waits."""
+    evaluated = []
+    done = threading.Event()
+
+    def kicker():  # wakes a pop parked in its wait so it can retire
+        while not done.wait(0.001):
+            q.kick()
+
+    th = threading.Thread(target=kicker)
+    th.start()
+    try:
+        return q.pop_batch(
+            max_batch, batch_timeout_s, NO_ESTIMATE,
+            stop=lambda: evaluated.append(1) or len(evaluated) > 1,
+        )
+    finally:
+        done.set()
+        th.join(10.0)
+
+
+TENANTS = ("t0", "t1", "t2")
+
+queue_policies = st.fixed_dictionaries({
+    t: st.builds(
+        TenantPolicy,
+        weight=st.sampled_from([1.0, 2.0, 3.0]),
+        priority=st.integers(0, 2),
+        quota=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    for t in TENANTS
+})
+
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.sampled_from(TENANTS)),
+        st.tuples(st.sampled_from(["pop", "pop", "pop", "close", "drain"])),
+    ),
+    max_size=40,
+)
+
+
+@given(
+    policies=queue_policies,
+    ops=queue_ops,
+    scheduling=st.sampled_from(["weighted", "fifo"]),
+    max_queue_depth=st.integers(1, 8),
+    max_batch=st.integers(1, 4),
+    timed_out=st.booleans(),
+)
+@example(
+    # a tenant re-entering behind a busier peer joins at the peer's pass
+    policies={t: TenantPolicy() for t in TENANTS},
+    ops=[("put", "t0")] + [("put", "t1")] * 4 + [("pop",)] * 4
+    + [("put", "t0"), ("pop",), ("pop",)],
+    scheduling="weighted",
+    max_queue_depth=8,
+    max_batch=1,
+    timed_out=True,
+)
+@settings(max_examples=200, deadline=None)
+def test_per_tenant_fifos_match_the_flat_list_rules(
+    policies, ops, scheduling, max_queue_depth, max_batch, timed_out
+):
+    # Puts happen in request_seq order, as one submitter makes them.  In
+    # the dispatcher, a FIFO's tail order and request_seq order can
+    # differ only when two submitters race between taking a seq and
+    # calling put; then the queue's "oldest head" and "newest tail" read
+    # put order within a tenant and request_seq across tenants.
+    cfg = FleetConfig(
+        tenants=policies,
+        scheduling=scheduling,
+        max_queue_depth=max_queue_depth,
+    )
+    q = RequestQueue(config=cfg)
+    model = FlatQueueModel(cfg)
+    # 0 s holds make every queued tenant due; a long hold leaves only
+    # full tenants (and any tenant once the queue is closed) due
+    batch_timeout_s = 0.0 if timed_out else 1e6
+    queued = {}
+    rejected = shed_total = 0
+    for seq, op in enumerate(ops):
+        if op[0] == "put":
+            tenant = op[1]
+            t = ticket(tenant, seq)
+            try:
+                q.put(t)
+                got = ("admitted",)
+            except AdmissionError as exc:
+                got = ("quota" if "quota" in str(exc) else "capacity",)
+            except ServingError:
+                got = ("closed",)
+            else:
+                queued[seq] = t
+            shed = [s for s, qt in queued.items() if qt.done()]
+            for s in shed:
+                del queued[s]
+            want = model.put(tenant, seq)
+            if isinstance(want, tuple):
+                assert got == ("admitted",)
+                assert shed == ([] if want[1] is None else [want[1]])
+            else:
+                assert got == (want,)
+                assert shed == []
+            rejected += got[0] in ("quota", "capacity")
+            shed_total += len(shed)
+        elif op[0] == "pop":
+            batch = pop_or_none(q, max_batch, batch_timeout_s)
+            got = None if batch is None else [t.request_seq for t in batch]
+            assert got == model.pop(max_batch, timed_out)
+            for s in got or ():
+                del queued[s]
+        elif op[0] == "close":
+            q.close()
+            model.closed = True
+        else:
+            assert [t.request_seq for t in q.drain()] == model.drain()
+            queued.clear()
+        assert len(q) == len(model.items)
+        assert q.peak_depth == model.peak
+    assert (q.rejected, q.shed) == (rejected, shed_total)

@@ -15,6 +15,8 @@ Three layers:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,14 @@ class TestModelPlanning:
         n = max(MODEL_MIN_ARRIVALS, MODEL_MIN_BATCHES) + 8
         with Dispatcher(compiled_cls, workers=1, config=cfg) as d:
             d.run_many(make_inputs(compiled_cls, n, seed=15), timeout=60.0)
+            # the plan is made on the supervisor's sweep: wait for the
+            # first sweep that finds the fleet calibrated
+            deadline = time.monotonic() + 60.0
+            while (
+                d.stats.planned_workers is None
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
             stats = d.stats
         assert stats.completed == n
         assert stats.planned_workers is not None

@@ -8,14 +8,16 @@ re-binds and serves bit-exact; and stage runs built on first read equal
 eagerly built ones, with one ``PoolStats`` copy per request.
 
 The fleet half: a fixed fleet (``min_workers == max_workers``) makes no
-autoscaler observation, while an elastic fleet makes them on submit and
-after batches, and a live ``apply_config`` from fixed to elastic resumes
-them.
+autoscaler observation, while an elastic fleet makes them only on the
+supervisor's sweep, never on the submitting or a worker thread, and
+plans capacity at most once per sweep; a live ``apply_config`` from
+fixed to elastic resumes them there.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import ExitStack
 from unittest import mock
 
@@ -28,6 +30,7 @@ from repro.kernels import base, get_execution_backend, native, turbo
 from repro.kernels.base import KernelRun
 from repro.runtime.pipeline import stage_weight_arrays
 from repro.serving import Dispatcher, session as session_mod
+from repro.serving import dispatcher as dispatcher_mod
 from repro.serving.control import Autoscaler, FleetConfig
 
 #: stage weight arrays of the VWW classifier
@@ -155,12 +158,24 @@ def test_stage_runs_built_on_first_read_match_per_request_runs(
 # --------------------------------------------------------------------------- #
 # the fleet path
 # --------------------------------------------------------------------------- #
+def sweep_observations(stack):
+    """Per-thread calls of every autoscaler step, and of the sweep."""
+    calls = {
+        "decide": [], "decide_target": [], "_plan_workers": [],
+        "plan_capacity": [], "_supervise": [],
+    }
+    calls_to(stack, Autoscaler, "decide", calls["decide"])
+    calls_to(stack, Autoscaler, "decide_target", calls["decide_target"])
+    calls_to(stack, Dispatcher, "_plan_workers", calls["_plan_workers"])
+    calls_to(stack, dispatcher_mod, "plan_capacity", calls["plan_capacity"])
+    calls_to(stack, Dispatcher, "_supervise", calls["_supervise"])
+    return calls
+
+
 def observed(stack):
     """Per-thread calls of the two autoscaler entry points."""
-    decide, plan = [], []
-    calls_to(stack, Autoscaler, "decide", decide)
-    calls_to(stack, Dispatcher, "_plan_workers", plan)
-    return decide, plan
+    calls = sweep_observations(stack)
+    return calls["decide"], calls["_plan_workers"]
 
 
 def burst(n, seed):
@@ -186,34 +201,47 @@ def test_fixed_fleet_makes_no_autoscaler_call(vww, mode):
         )
 
 
+def await_calls(calls, deadline_s=60.0):
+    """Wait, up to a deadline, until ``calls`` records one call."""
+    deadline = time.monotonic() + deadline_s
+    while not calls and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
 @pytest.mark.parametrize(
-    "mode,entry", [("heuristic", 0), ("model", 1)]
+    "mode,entry", [("heuristic", "decide"), ("model", "plan_capacity")]
 )
-def test_elastic_fleet_observes_on_submit_and_after_batches(
+def test_elastic_fleet_observes_only_on_the_supervisor_sweep(
     vww, mode, entry
 ):
     cfg = FleetConfig(
-        min_workers=1, max_workers=3, max_batch=2, autoscale_mode=mode
+        min_workers=1, max_workers=3, max_batch=1, autoscale_mode=mode
     )
-    xs = burst(24, seed=2)
+    xs = burst(64, seed=2)
     with ExitStack() as stack:
-        calls = observed(stack)[entry]
+        calls = sweep_observations(stack)
         with Dispatcher(vww, workers=1, config=cfg) as d:
             d.run_many(xs, timeout=60.0)
-    submitter = threading.current_thread()
-    # one observation per submit, on the submitting thread ...
-    assert sum(t is submitter for t in calls) == len(xs)
-    # ... and more from the workers, after their batches
-    assert any(t is not submitter for t in calls)
+            # a calibrated model fleet plans on the next sweep
+            await_calls(calls[entry])
+            supervisor = d._supervisor
+    assert calls[entry]
+    for name in ("decide", "decide_target", "_plan_workers", "plan_capacity"):
+        assert all(t is supervisor for t in calls[name]), name
+    # at most one plan per sweep, whatever the number of requests
+    assert len(calls["plan_capacity"]) <= len(calls["_supervise"]) + 1
 
 
 def test_apply_config_from_fixed_to_elastic_resumes_observing(vww):
     fixed = FleetConfig(min_workers=2, max_workers=2, max_batch=2)
     with ExitStack() as stack:
-        decide, _ = observed(stack)
+        calls = sweep_observations(stack)
         with Dispatcher(vww, workers=2, config=fixed) as d:
             d.run_many(burst(8, seed=3), timeout=60.0)
-            assert decide == []
+            assert calls["decide"] == []
             d.apply_config(fixed.evolve(min_workers=1, max_workers=3))
             d.run_many(burst(8, seed=4), timeout=60.0)
-    assert len(decide) >= 8
+            await_calls(calls["decide"])
+            supervisor = d._supervisor
+    assert calls["decide"]
+    assert all(t is supervisor for t in calls["decide"])
