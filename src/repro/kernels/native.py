@@ -18,31 +18,40 @@ stage too, so a whole segment of a compiled model is one call:
   runs pointwise expand, ``k x k`` depthwise at the composite stride
   ``s2*s3`` over zero-bordered rows, pointwise project, every requantize
   and the saturating residual add, holding only a ``k``-row ring of the
-  expanded tensor and one row of accumulators; a pointwise or dense row
-  runs int16-pair GEMM rows over strided pixels, 64 pixels at a time,
-  with the requantize fused in;
+  expanded tensor (as int16 pairs) and the project's int16 input row; a
+  pointwise or dense row runs int16-pair GEMM rows over strided pixels,
+  64 pixels at a time;
 * ``vmcu_requant_i32`` / ``vmcu_requant_f64`` — the exact gemmlowp
   requantize in one pass over int32 or float64-held accumulators, with the
   bottleneck's saturating residual add optionally fused in;
 * ``vmcu_depthwise`` — the standalone depthwise convolution, on the same
-  tap loop and requantize as the bottleneck.
+  tap blocks and requantize as the bottleneck.
 
 Every entry allocates its own scratch, so concurrent callers share only
 read-only inputs.
 
 Their multiply-accumulates run as the paper's MCU kernels run them with
 SMLAD: int8 operands widened to int16 pairs, and one x86 ``pmaddwd``
-adding two products into each int32 lane.  That is exact: an int8
-product is at most ``2**14`` in magnitude, so a pair sum is at most
-``2**15``; ``pmaddwd`` overflows only on two ``(-32768)*(-32768)``
-products, which int8 operands never produce; and the lanes accumulate
-modulo ``2**32`` like NumPy's int32.  Weights come from
-:func:`pack_i16_pairs`: the reduction axis in int16 pairs, the channel
-axis zero-padded to 16k.  The depthwise pairs horizontally adjacent taps,
-so its rows are held paired too.  Vectors are sized to the build target
-by its predefined macros: 16 int32 lanes under AVX-512BW, 8 under AVX2,
-4 under SSE2, which every x86-64 target has, and a portable form of
-``pmaddwd`` at 4 lanes elsewhere.  Every build has every leaf.
+adding two products into each int32 lane (or one ``vpdpwssd``, which
+also adds them to the accumulator, on AVX512-VNNI targets).  That is
+exact: an int8 product is at most ``2**14`` in magnitude, so a pair sum
+is at most ``2**15``; ``pmaddwd`` overflows only on two
+``(-32768)*(-32768)`` products, which int8 operands never produce; and
+the lanes accumulate modulo ``2**32`` like NumPy's int32.  Weights come
+from :func:`pack_i16_pairs`: the reduction axis in int16 pairs, the
+channel axis zero-padded to 16k.  The depthwise pairs horizontally
+adjacent taps, so its rows are held paired too.  Vectors are sized to
+the build target by its predefined macros: 16 int32 lanes under
+AVX-512BW, 8 under AVX2, 4 under SSE2, which every x86-64 target has,
+and a portable form of ``pmaddwd`` at 4 lanes elsewhere.  Every build
+has every leaf.
+
+Both multiply-accumulate loops (GEMM rows and depthwise taps) run
+register blocks of pixels by channel vectors, at least 8 independent
+accumulators wherever the row is long enough, and each block ends in
+the requantize, written straight from its accumulators to int8 output
+pixels, the next GEMM's int16 operands or the depthwise ring's int16
+pairs: no int32 row of accumulators is ever stored.
 
 :func:`build` compiles a C source with ``gcc -O3 -march=native -shared
 -fPIC`` into a per-user cache (:func:`cache_dir`) under a name hashed from
@@ -52,7 +61,7 @@ host compiles once and later processes only load.  :func:`leaves` builds
 and loads the leaves on first use, once per process; it returns ``None``
 when there is no compiler or the compile fails, and the turbo backend then
 keeps its NumPy and BLAS leaves.  :func:`status` says which path this process
-takes::
+takes, and for the loaded build its lanes and accumulate instruction::
 
     python -c "from repro.kernels.native import status; print(status())"
 """
@@ -185,6 +194,11 @@ def build(source: str, *, directory: Path | None = None) -> Path:
             os.unlink(tmp)
     return path
 
+
+#: what a build's multiply-accumulates run (``vmcu_accumulate``):
+#: ``vpdpwssd`` under AVX512-VNNI, ``pmaddwd`` and an add on other x86-64
+#: targets, the portable form of ``pmaddwd`` elsewhere
+_ACCUMULATE = ("vpdpwssd", "pmaddwd", "portable pmaddwd")
 
 #: channel multiple of the leaves' weight operands (``CPAD`` in the C
 #: source): their vector loops run whole blocks of this many channels
@@ -401,7 +415,9 @@ class _Leaves:
         for fn in (self._depthwise, self._segment, lib.vmcu_stage_fields,
                    lib.vmcu_lanes):
             fn.restype = i32
+        lib.vmcu_accumulate.restype = ctypes.c_char_p
         lib.vmcu_stage_fields.argtypes = lib.vmcu_lanes.argtypes = ()
+        lib.vmcu_accumulate.argtypes = ()
         if lib.vmcu_stage_fields() != len(_STAGE_FIELDS):
             raise NativeBuildError(
                 f"the library's stage rows have {lib.vmcu_stage_fields()} "
@@ -410,6 +426,14 @@ class _Leaves:
         #: int32 lanes per vector in this build: 16 under AVX-512BW, 8
         #: under AVX2, 4 otherwise
         self.lanes = int(lib.vmcu_lanes())
+        #: the multiply-accumulate instruction of this build, one of
+        #: ``_ACCUMULATE``
+        self.accumulate = lib.vmcu_accumulate().decode()
+        if self.accumulate not in _ACCUMULATE:
+            raise NativeBuildError(
+                f"the library accumulates with {self.accumulate!r}, not one "
+                f"of {_ACCUMULATE}"
+            )
 
     def requantize(self, acc, mult, residual=None) -> np.ndarray:
         """:func:`repro.quant.requantize` in one pass, plus an optional
@@ -520,9 +544,11 @@ def leaves() -> _Leaves | None:
 
 
 def status() -> str:
-    """One line on which leaves the turbo backend runs."""
+    """One line on which leaves the turbo backend runs: for the native
+    build, its int32 lanes and accumulate instruction (``16 int32 lanes,
+    vpdpwssd``)."""
     found = leaves()
     line = f"native leaves: {_loaded[1]}"
     if found is None:
         return line
-    return f"{line}; {found.lanes} int32 lanes"
+    return f"{line}; {found.lanes} int32 lanes, {found.accumulate}"

@@ -18,23 +18,26 @@ remaining *provably bit-exact*:
   allocates one output array per stage.  A caller without a binding
   (``Pipeline.run_batch``) binds for its call.
 
-* **the leaves** — pointwise and dense stages (int16-pair GEMM rows with
-  the requantize fused in), the inverted bottleneck fused the way the
-  paper's kernel streams it (expand, depthwise at stride ``s2*s3``,
-  project, every requantize and the residual add in one pass per output
-  row, holding only a ``k``-row ring of the expanded tensor), the global
-  average pool and the standalone depthwise.  Their multiply-accumulates
-  are ``pmaddwd`` over int16 pairs of the int8 operands, the host's
-  counterpart of the SMLAD the paper's MCU kernels run: two products per
-  int32 lane.  A pair sum is at most ``2**15`` in magnitude, so no lane
-  overflows, and the int32 accumulation wraps modulo ``2**32`` exactly
-  like the fast backend's, so it is bit-exact for any reduction depth.
+* **the leaves** — pointwise and dense stages (int16-pair GEMM rows),
+  the inverted bottleneck fused the way the paper's kernel streams it
+  (expand, depthwise at stride ``s2*s3``, project, every requantize and
+  the residual add in one pass per output row, holding only a ``k``-row
+  ring of the expanded tensor), the global average pool and the
+  standalone depthwise.  Their multiply-accumulates are ``pmaddwd`` over
+  int16 pairs of the int8 operands (``vpdpwssd`` on AVX512-VNNI), the
+  host's counterpart of the SMLAD the paper's MCU kernels run: two
+  products per int32 lane.  A pair sum is at most ``2**15`` in
+  magnitude, so no lane overflows, and the int32 accumulation wraps
+  modulo ``2**32`` exactly like the fast backend's, so it is bit-exact
+  for any reduction depth.  The loops run register blocks of pixels by
+  channel vectors and requantize each block as it leaves the loop, as
+  the paper's kernels do, so no stage stores its int32 accumulators.
   The per-request path (``run_pipeline``: ``CompiledModel.run`` and the
   cost template's dry run) runs each stage as a one-row segment, so with
   the leaves loaded no pipeline stage reaches BLAS, and BLAS's thread
   count does not matter to serving.  Every build target has every
   leaf, with one ``pmaddwd`` per target (AVX-512BW, AVX2, SSE2, or a
-  portable form).
+  portable form); ``native.status()`` names the loaded one.
 
 * **without a compiler**, or when the build fails, the backend keeps the
   fast backend's stage structure with three swapped leaves:

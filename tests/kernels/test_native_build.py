@@ -9,13 +9,16 @@
   keeps serving bit-exact results through ``requantize_fast`` and the
   NumPy tap loop;
 * every build target has the fused bottleneck leaf and serves bit-exact
-  through its segment entry: an AVX2 build at 8 int32 lanes, a baseline
-  x86-64 (SSE2) build at 4, and a build with the intrinsic branches'
+  through its segment entry, register-block tails and all: an AVX2 build
+  at 8 int32 lanes, a baseline x86-64 (SSE2) build at 4, AVX-512 builds
+  at 16 accumulating through ``pmaddwd`` (skylake-avx512) and through
+  ``vpdpwssd`` (icelake-server), and a build with the intrinsic branches'
   macros undefined, which runs the portable form of ``pmaddwd``;
-  ``status()`` reports the lanes;
+  ``status()`` reports the lanes and the accumulate instruction;
 * a build under AddressSanitizer and UBSan serves both models, chains of
-  every stage kind and the standalone depthwise bit-exact, in a spawned
-  interpreter with the sanitizer runtime preloaded.
+  every stage kind and every register-block tail, and the standalone
+  depthwise bit-exact, in a spawned interpreter with the sanitizer
+  runtime preloaded.
 """
 
 from __future__ import annotations
@@ -38,7 +41,15 @@ import pytest
 from repro.kernels import base, get_execution_backend, native, turbo
 from repro.quant import quantize_multiplier
 from repro.runtime.pipeline import BottleneckStage, Pipeline, PointwiseStage
-from tests.kernels.test_turbo_backend import fused_calls, segment_calls
+from tests.kernels.test_turbo_backend import (
+    BLOCK_CHAINS,
+    assert_chain_matches_fast,
+    assert_depthwise_pads_match_fast,
+    fused_calls,
+    random_chain,
+    random_int8,
+    segment_calls,
+)
 
 SOURCE = "int repro_answer(void) { return 42; }\n"
 N_BUILDERS = 3
@@ -190,8 +201,9 @@ def test_turbo_falls_back_bit_exact(tmp_path, monkeypatch, breakage):
 
 def _serves_bit_exact(path: Path, monkeypatch) -> native._Leaves:
     """Load the library at ``path`` as this process's leaves; turbo must
-    serve the bottleneck pipeline through its segment entry and its
-    depthwise leaf must match the NumPy tap loop, bit for bit."""
+    serve the bottleneck pipeline and BLOCK_CHAINS through its segment
+    entry and its depthwise leaf must match the NumPy tap loop at every
+    pad, bit for bit."""
     found = native._Leaves(ctypes.CDLL(str(path)))
     monkeypatch.setattr(native, "_loaded", (found, f"loaded from {path}"))
     rng = np.random.default_rng(1)
@@ -228,28 +240,55 @@ def _serves_bit_exact(path: Path, monkeypatch) -> native._Leaves:
                     xb, wd, mult, stride, (k - 1) // 2
                 ),
             )
+    assert_depthwise_pads_match_fast(found, rng)
+    for hw, c, body, classes in BLOCK_CHAINS:
+        assert_chain_matches_fast(
+            random_chain(rng, hw, c, body, classes),
+            [random_int8(rng, (hw, hw, c)) for _ in range(2)],
+        )
     return found
+
+
+#: per -march target: int32 lanes, the accumulate instruction, and the
+#: /proc/cpuinfo flags of the extensions it relies on (skipped without)
+BUILD_TARGETS = {
+    "haswell": (8, "pmaddwd", ("avx2",)),
+    "x86-64": (4, "pmaddwd", ()),
+    # 16 lanes through pmaddwd and an add: on a VNNI host, the one
+    # 16-lane path the native build does not run
+    "skylake-avx512": (
+        16, "pmaddwd", ("avx512f", "avx512bw", "avx512vl", "avx512dq"),
+    ),
+    "icelake-server": (
+        16, "vpdpwssd",
+        ("avx512bw", "avx512vl", "avx512_vnni", "avx512vbmi",
+         "avx512_vbmi2", "avx512_bitalg", "avx512_vpopcntdq"),
+    ),
+}
 
 
 @pytest.mark.skipif(
     platform.machine() not in ("x86_64", "AMD64"),
     reason="builds for x86-64 -march targets",
 )
-@pytest.mark.parametrize("march,lanes", [("haswell", 8), ("x86-64", 4)])
+@pytest.mark.parametrize("march", list(BUILD_TARGETS))
 def test_build_target_selects_the_fused_bottleneck(
-    tmp_path, monkeypatch, march, lanes
+    tmp_path, monkeypatch, march
 ):
+    lanes, accumulate, needs = BUILD_TARGETS[march]
     if shutil.which(native.COMPILER) is None:
         pytest.skip(f"no {native.COMPILER} on PATH")
-    if lanes == 8 and "avx2" not in native._cpu_flags().split():
-        pytest.skip("this CPU cannot run AVX2 code")
+    missing = set(needs) - set(native._cpu_flags().split())
+    if missing:
+        pytest.skip(f"this CPU cannot run {march} code: no {sorted(missing)}")
     monkeypatch.setattr(
         native, "CFLAGS", ("-O3", f"-march={march}", "-shared", "-fPIC")
     )
     path = native.build(native.SOURCE.read_text(), directory=tmp_path)
     assert hasattr(ctypes.CDLL(str(path)), "vmcu_segment")
-    assert _serves_bit_exact(path, monkeypatch).lanes == lanes
-    assert f"{lanes} int32 lanes" in native.status()
+    found = _serves_bit_exact(path, monkeypatch)
+    assert (found.lanes, found.accumulate) == (lanes, accumulate)
+    assert f"{lanes} int32 lanes, {accumulate}" in native.status()
 
 
 def test_portable_pmaddwd_is_bit_exact(tmp_path, monkeypatch):
@@ -259,17 +298,23 @@ def test_portable_pmaddwd_is_bit_exact(tmp_path, monkeypatch):
         pytest.skip(f"no {native.COMPILER} on PATH")
     monkeypatch.setattr(
         native, "CFLAGS",
-        (*native.CFLAGS, "-U__SSE2__", "-U__AVX2__", "-U__AVX512BW__"),
+        (*native.CFLAGS, "-U__SSE2__", "-U__AVX2__", "-U__AVX512BW__",
+         "-U__AVX512VNNI__"),
     )
     path = native.build(native.SOURCE.read_text(), directory=tmp_path)
-    assert _serves_bit_exact(path, monkeypatch).lanes == 4
+    found = _serves_bit_exact(path, monkeypatch)
+    assert (found.lanes, found.accumulate) == (4, "portable pmaddwd")
+    assert "4 int32 lanes, portable pmaddwd" in native.status()
 
 
 #: served in a spawned interpreter over a sanitized build of the leaves:
 #: both models at B=3 through Session.run_batch, a few random chains of
-#: every stage kind, and the standalone depthwise, each bit-exact
-#: against "fast"; exits nonzero on a mismatch, and the sanitizers abort
-#: on any memory error or undefined behaviour
+#: every stage kind, BLOCK_CHAINS (c_out 17 and 33 at 7 pixels, so an
+#: int8 store past a pixel's valid channels, or past the output, and a
+#: pair write past a ring narrower than its row abort), and the
+#: standalone depthwise at every pad, each bit-exact against "fast";
+#: exits nonzero on a mismatch, and the sanitizers abort on any memory
+#: error or undefined behaviour
 SANITIZED_SERVING = r"""
 import ctypes
 import sys
@@ -285,7 +330,13 @@ import repro
 from repro.graph.models import build_classifier_graph, build_network_graph
 from repro.mcu.device import STM32F767ZI
 from repro.quant import quantize_multiplier
-from tests.kernels.test_turbo_backend import random_chain, segment_calls
+from tests.kernels.test_turbo_backend import (
+    BLOCK_CHAINS,
+    assert_chain_matches_fast,
+    assert_depthwise_pads_match_fast,
+    random_chain,
+    segment_calls,
+)
 
 rng = np.random.default_rng(0)
 
@@ -338,6 +389,12 @@ assert np.array_equal(
     native.leaves().depthwise(xb, pack_i16_pairs(wd, 0), mult, 2, 2),
     fast._depthwise_batch(xb, wd, mult, 2, 2),
 )
+assert_depthwise_pads_match_fast(native.leaves(), rng)
+for hw, c, body, classes in BLOCK_CHAINS:
+    assert_chain_matches_fast(
+        random_chain(rng, hw, c, body, classes),
+        [rng.integers(-128, 128, (hw, hw, c), np.int8) for _ in range(3)],
+    )
 print("sanitized serving bit-exact")
 """
 

@@ -10,12 +10,16 @@ Three layers of evidence:
   int32 and float64-held accumulators at the int32 extremes, on exact
   rounding ties at every shift and both multiplier ends and with a
   saturating residual, the depthwise kernel over even and odd kernel
-  sizes, strides, batch sizes, channel counts and padded borders, and
-  the int16 pair packing both leaves' weights take;
+  sizes, strides, batch sizes, channel counts and padded borders (every
+  pad 0-3, with the paired ring row narrower and wider than the padded
+  input), and the int16 pair packing both leaves' weights take;
 * whole pipelines and single kernels run ``execution="turbo"`` against
   ``"fast"`` (itself parity-locked to ``"simulate"``) and must agree on
   outputs, per-stage cost reports and pool statistics; bottleneck
-  stages must run the fused native leaf wherever the leaves load.
+  stages must run the fused native leaf wherever the leaves load;
+  fixed chains (``BLOCK_CHAINS``) reach every tail of the native register
+  blocks and every store of their requantizing epilogue, and the residual
+  add saturates at both ends.
 """
 
 from __future__ import annotations
@@ -280,6 +284,47 @@ class TestPackI16Pairs:
         assert not unpacked[..., c:].any()
 
 
+def paired_width(q: int, stride: int, k: int) -> int:
+    """Paired pixels of one ring row of the native depthwise for ``q``
+    outputs per row (``paired_width`` in ``_native.c``)."""
+    return (q - 1) * stride + (k + 1) // 2 * 2 - 1
+
+
+#: (k, pad, stride) of standalone depthwise calls: every pad 0-3, and
+#: with the row widths of DEPTHWISE_WIDTHS a paired ring row both
+#: narrower than pad + width (the last pixels' pairs are dropped) and
+#: wider (its right border stays zero)
+DEPTHWISE_PADS = (
+    (2, 0, 1), (2, 0, 2), (3, 1, 1), (3, 2, 2), (4, 3, 1), (5, 2, 2),
+    (7, 3, 1), (3, 3, 2),
+)
+#: one pixel, and widths off the 4- and 8-pixel blocks
+DEPTHWISE_WIDTHS = (1, 5, 6, 13)
+
+
+def assert_depthwise_pads_match_fast(leaves, rng) -> None:
+    """The depthwise leaf over DEPTHWISE_PADS x DEPTHWISE_WIDTHS (17
+    channels: a whole vector and a one-channel tail) against the NumPy tap
+    loop; both ring widths must occur."""
+    fast = get_execution_backend("fast")
+    mult = quantize_multiplier(0.02)
+    rings = set()
+    for k, pad, stride in DEPTHWISE_PADS:
+        wd = random_int8(rng, (k, k, 17))
+        for width in DEPTHWISE_WIDTHS:
+            if width + 2 * pad < k:
+                continue
+            xb = random_int8(rng, (2, 6, width, 17))
+            np.testing.assert_array_equal(
+                leaves.depthwise(xb, pack_i16_pairs(wd, 0), mult, stride, pad),
+                fast._depthwise_batch(xb, wd, mult, stride, pad),
+                err_msg=f"k={k} pad={pad} stride={stride} width={width}",
+            )
+            q = (width + 2 * pad - k) // stride + 1
+            rings.add(np.sign(paired_width(q, stride, k) - pad - width))
+    assert {-1, 1} <= rings
+
+
 class TestNativeDepthwise:
     @given(
         # even k pairs its taps exactly; odd k meets a zero last weight
@@ -315,6 +360,9 @@ class TestNativeDepthwise:
                 xb, wd, mult, stride, pad
             ),
         )
+
+    def test_every_pad_and_ring_width(self, leaves):
+        assert_depthwise_pads_match_fast(leaves, np.random.default_rng(13))
 
     def test_rejects_bad_geometry(self, leaves):
         xb = np.zeros((1, 4, 4, 8), dtype=np.int8)
@@ -626,6 +674,51 @@ def random_chain(rng, hw, c, body, classes):
     return pipe
 
 
+#: channel counts on, off and across the 16-lane vectors, and the served
+#: models' wide expansions
+BLOCK_CHANNELS = (1, 8, 16, 17, 24, 33, 40, 48, 64, 65, 80, 240)
+#: fixed chains (hw, c, body, classes) for random_chain that reach every
+#: tail of the native register blocks: rows of every length mod 8 and of
+#: one pixel, c_mid and c_out each over BLOCK_CHANNELS, depthwise pads 0-3
+#: with the paired ring row narrower and wider than the padded expanded
+#: row, and the residual add; the first is the one ASan needs, c_out 17
+#: and 33 at 7 pixels, beside a ring narrower than its row
+#: (TestSegmentPass.test_block_chains_cover_every_tail checks all this)
+BLOCK_CHAINS = (
+    (7, 3, [("pw", 1, 17), ("bn", 3, 240, None, (1, 1, 1)),
+            ("bn", 2, 65, 33, (1, 1, 1))], None),
+    (13, 8, [("bn", 5, 48, None, (1, 1, 1)), ("bn", 7, 80, 24, (1, 2, 1)),
+             ("pw", 2, 1)], 10),
+    (1, 16, [("bn", 3, 64, None, (1, 1, 1)), ("pw", 1, 40)], 1000),
+    (6, 24, [("bn", 2, 17, 16, (1, 2, 1)), ("bn", 4, 33, 8, (1, 1, 1)),
+             ("bn", 3, 1, None, (1, 1, 1))], None),
+    (11, 5, [("pw", 2, 40), ("bn", 7, 240, None, (1, 1, 1)),
+             ("bn", 3, 64, 65, (2, 1, 1))], None),
+    (9, 3, [("bn", 3, 8, 80, (1, 1, 1)), ("bn", 5, 16, 48, (1, 1, 2)),
+            ("bn", 3, 24, 64, (1, 1, 1)), ("bn", 3, 40, 240, (1, 1, 1))],
+     None),
+    (5, 1, [("bn", 3, 65, 1, (1, 1, 1))], None),
+)
+
+
+def assert_chain_matches_fast(pipe, xs) -> None:
+    """``pipe`` over the batch ``xs`` in one native call, with and without
+    a binding, against "fast": outputs and per-stage runs."""
+    plan = pipe.plan()
+    backend = get_execution_backend("turbo")
+    backend.pipeline_template(pipe, plan)
+    binding = backend.bind(pipe, plan)
+    fast = get_execution_backend("fast").run_pipeline_batch(pipe, plan, xs)
+    for kw in ({}, {"binding": binding}):
+        with segment_calls() as calls:
+            turbo = backend.run_pipeline_batch(pipe, plan, xs, **kw)
+        assert len(calls) == int(native.leaves() is not None)
+        for tr, fr in zip(turbo, fast):
+            np.testing.assert_array_equal(tr.output, fr.output)
+            for a, b in zip(tr.stage_runs, fr.stage_runs):
+                assert_runs_match(a, b)
+
+
 class TestSegmentPass:
     @given(
         hw=st.integers(3, 9),
@@ -647,22 +740,84 @@ class TestSegmentPass:
         pipe = random_chain(rng, hw, c, body, classes)
         if not pipe.stages:
             return
-        plan = pipe.plan()
         xs = [random_int8(rng, (hw, hw, c)) for _ in range(batch)]
-        backend = get_execution_backend("turbo")
-        backend.pipeline_template(pipe, plan)
-        binding = backend.bind(pipe, plan)
-        fast = get_execution_backend("fast").run_pipeline_batch(
-            pipe, plan, xs
+        assert_chain_matches_fast(pipe, xs)
+
+    @pytest.mark.parametrize(
+        "chain", BLOCK_CHAINS, ids=lambda ch: f"hw{ch[0]}-c{ch[1]}"
+    )
+    def test_block_chains_match_fast(self, chain):
+        """Every block tail and every store of the blocks' epilogue."""
+        hw, c, body, classes = chain
+        rng = np.random.default_rng(hw * 100 + c)
+        pipe = random_chain(rng, hw, c, body, classes)
+        assert_chain_matches_fast(
+            pipe, [random_int8(rng, (hw, hw, c)) for _ in range(3)]
         )
-        for kw in ({}, {"binding": binding}):
-            with segment_calls() as calls:
-                turbo = backend.run_pipeline_batch(pipe, plan, xs, **kw)
-            assert len(calls) == int(native.leaves() is not None)
-            for tr, fr in zip(turbo, fast):
-                np.testing.assert_array_equal(tr.output, fr.output)
-                for a, b in zip(tr.stage_runs, fr.stage_runs):
-                    assert_runs_match(a, b)
+
+    def test_block_chains_cover_every_tail(self):
+        """BLOCK_CHAINS reach what they are there for, read off the stage
+        rows the native pass gets: no stage left out as unfusable, c_mid
+        and c_out over BLOCK_CHANNELS, rows of one pixel and of every
+        length mod 8, pads 0-3, both ring widths and the residual add."""
+        rng = np.random.default_rng(0)
+        turbo = get_execution_backend("turbo")
+        index = {f: i for i, f in enumerate(native._STAGE_FIELDS)}
+        mids, outs, rows, pads, rings = set(), set(), set(), set(), set()
+        residual = False
+        for hw, c, body, classes in BLOCK_CHAINS:
+            pipe = random_chain(rng, hw, c, body, classes)
+            assert len(pipe.stages) == len(body) + 2 * bool(classes)
+            for row in turbo._table(pipe, pipe.plan()).rows:
+                d = {f: int(row[i]) for f, i in index.items()}
+                if d["kind"] == native._POINTWISE:
+                    outs.add(d["c_out"])
+                    if d["stride"] > 1:
+                        rows.add(d["q"])
+                elif d["kind"] == native._BOTTLENECK:
+                    mids.add(d["c_mid"])
+                    outs.add(d["c_out"])
+                    rows |= {d["hb"], d["p"]}
+                    pads.add(d["pad"])
+                    width = paired_width(d["p"], d["stride"], d["k"])
+                    rings.add(np.sign(width - d["pad"] - d["hb"]))
+                    residual |= bool(d["residual"])
+        assert set(BLOCK_CHANNELS) <= mids
+        assert set(BLOCK_CHANNELS) <= outs
+        assert 1 in rows and {n % 8 for n in rows} >= set(range(1, 8))
+        assert pads == {0, 1, 2, 3}
+        assert {-1, 1} <= rings
+        assert residual
+
+    def test_residual_add_saturates_at_both_ends(self, leaves):
+        """The project's epilogue adds the skip connection and saturates:
+        every output is the int8-clipped sum of the same row run without
+        RESIDUAL and the input, and the sums leave the int8 range at both
+        ends (17 channels: a whole vector and a one-channel tail)."""
+        rng = np.random.default_rng(14)
+        hw, c = 7, 17
+        pipe = random_chain(
+            rng, hw, c, [("bn", 3, 40, None, (1, 1, 1))], None
+        )
+        plan = pipe.plan()
+        table = get_execution_backend("turbo")._table(pipe, plan)
+        row = table.rows[0].copy()
+        assert row[native._STAGE_FIELDS.index("residual")] == 1
+        row[native._STAGE_FIELDS.index("residual")] = 0
+        plain = native.SegmentTable(
+            [native.Stage(row, table.in_shape, table.out_shapes[0],
+                          table.packs)]
+        )
+        xb = random_int8(rng, (4, hw, hw, c))
+        got = leaves.segment(table, xb)[0]
+        wide = leaves.segment(plain, xb)[0].astype(np.int16) + xb
+        assert (wide > 127).any() and (wide < -128).any()
+        np.testing.assert_array_equal(got, np.clip(wide, -128, 127))
+        fast = get_execution_backend("fast").run_pipeline_batch(
+            pipe, plan, list(xb)
+        )
+        for out, want in zip(got, fast):
+            np.testing.assert_array_equal(out, want.output)
 
     def test_each_stage_output_is_its_own_array(self, leaves):
         """A kept response pins only its own stage's batch array."""
