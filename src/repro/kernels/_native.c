@@ -3,7 +3,7 @@
  * Compiled once per host by repro.kernels.native and called through
  * ctypes, which releases the GIL for the length of each call.  Every
  * function is pure over its arguments: no static or global state, and
- * every leaf allocates its own scratch and frees it before returning, so
+ * every stage allocates its own scratch and frees it before returning, so
  * concurrent serving threads never share anything but read-only inputs.
  * An entry that cannot allocate its scratch returns nonzero and writes
  * nothing more.  The Python wrappers validate shapes, dtypes and
@@ -11,9 +11,10 @@
  *
  * A pipeline stage is described by one row of int64 fields (F_* below:
  * its kind, geometry, requantize multipliers and the addresses of its
- * packed weights).  vmcu_segment walks a table of such rows, so a whole
- * segment of a compiled model runs in one call, and a lone stage is a
- * one-row table.
+ * packed weights).  vmcu_segment, the one compute entry, walks a table of
+ * such rows, so a whole segment of a compiled model runs in one call, and
+ * a lone stage is a one-row table.  The other exports describe the build:
+ * vmcu_stage_fields, vmcu_lanes and vmcu_accumulate.
  *
  * Every multiply-accumulate runs the way the paper's kernels run it on the
  * MCU with SMLAD: int8 operands widened to int16 pairs, two products added
@@ -31,15 +32,15 @@
  * Weight operands arrive as int16 pairs with the channel axis zero-padded
  * to a multiple of CPAD, so every vector loop runs whole blocks.
  *
- * The two MAC loops, pw_rows (pointwise GEMM) and dw_row (depthwise taps),
- * run register blocks of NP pixels by NV channel vectors (ROW_BLOCKS).  A
- * multiply-accumulate has a latency of several cycles but the core issues
- * one or two per cycle, so a block needs at least 8 independent
- * accumulators to keep it busy; a block of four carries one chain per
- * pixel and stalls on it.  Each block ends in the requantize, the way the
- * paper's kernels requantize each result as it leaves the MAC loop, and
- * writes int8 pixels, the int16 operands of the next GEMM or the paired
- * int16 pixels of the depthwise's ring straight from the block
+ * The two MAC loops, pw_rows (pointwise GEMM) and dw_row (the bottleneck's
+ * depthwise taps), run register blocks of NP pixels by NV channel vectors
+ * (ROW_BLOCKS).  A multiply-accumulate has a latency of several cycles but
+ * the core issues one or two per cycle, so a block needs at least 8
+ * independent accumulators to keep it busy; a block of four carries one
+ * chain per pixel and stalls on it.  Each block ends in the requantize,
+ * the way the paper's kernels requantize each result as it leaves the MAC
+ * loop, and writes int8 pixels, the int16 operands of the next GEMM or the
+ * paired int16 pixels of the depthwise's ring straight from the block
  * (put_block): no int32 row of accumulators is ever stored.
  */
 #include <stddef.h>
@@ -162,43 +163,9 @@ static inline int32_t rq1(int32_t a, rq_t q) {
     return y < -128 ? -128 : y > 127 ? 127 : y;
 }
 
-/* the bottleneck's skip connection: an int8 add that saturates */
-static inline int8_t sat_add8(int32_t v, int8_t r) {
-    v += r;
-    return (int8_t)(v < -128 ? -128 : v > 127 ? 127 : v);
-}
-
-/* out[i] = requantize(acc[i]) [+ residual[i], saturating] */
-static void rq_store(const int32_t *acc, const int8_t *residual,
-                     int8_t *out, int64_t n, rq_t q) {
-    if (residual) {
-        for (int64_t i = 0; i < n; ++i)
-            out[i] = sat_add8(rq1(acc[i], q), residual[i]);
-    } else {
-        for (int64_t i = 0; i < n; ++i) out[i] = (int8_t)rq1(acc[i], q);
-    }
-}
-
-/* out[i] = requantize(acc[i]) [+ residual[i], saturating] over int32
- * accumulators; residual may be NULL. */
-void vmcu_requant_i32(const int32_t *acc, const int8_t *residual,
-                      int8_t *out, int64_t n, int32_t mult, int32_t shift) {
-    rq_store(acc, residual, out, n, rq_make(mult, shift));
-}
-
-/* The same over float64-held accumulators (the BLAS GEMM's output).  They
- * hold integers, so the conversion through int64 is exact, and narrowing
- * to int32 wraps like NumPy's astype(np.int32). */
-void vmcu_requant_f64(const double *acc, const int8_t *residual,
-                      int8_t *out, int64_t n, int32_t mult, int32_t shift) {
-    const rq_t q = rq_make(mult, shift);
-    if (residual) {
-        for (int64_t i = 0; i < n; ++i)
-            out[i] = sat_add8(rq1((int32_t)(int64_t)acc[i], q), residual[i]);
-    } else {
-        for (int64_t i = 0; i < n; ++i)
-            out[i] = (int8_t)rq1((int32_t)(int64_t)acc[i], q);
-    }
+/* out[i] = requantize(acc[i]): the average pool's per-channel sums */
+static void rq_store(const int32_t *acc, int8_t *out, int64_t n, rq_t q) {
+    for (int64_t i = 0; i < n; ++i) out[i] = (int8_t)rq1(acc[i], q);
 }
 
 /* rq1's first step in every lane, y = (a*M + 2**30) >> 31: the target's
@@ -543,23 +510,6 @@ static int16_t *ring_alloc(int32_t k, int64_t slot) {
     return ring;
 }
 
-/* Pair n int8 pixels of c channels into a ring slot the way OUT_PAIRS
- * writes them: pixel x is the low half of pair pad + x and the high half
- * of pair pad + x - 1 of the slot's ns pairs of cpad channels. */
-static void pair_pixels(const int8_t *src, int32_t n, int32_t c,
-                        int16_t *slot, int32_t pad, int32_t ns,
-                        int32_t cpad) {
-    for (int32_t x = 0; x < n; ++x) {
-        const int32_t s = pad + x;
-        for (int32_t t = 0; t < c; ++t) {
-            const int16_t e = src[(int64_t)x * c + t];
-            if (s < ns) slot[((int64_t)s * cpad + t) * 2] = e;
-            if (s >= 1 && s <= ns)
-                slot[((int64_t)(s - 1) * cpad + t) * 2 + 1] = e;
-        }
-    }
-}
-
 /* One output row of a k x k depthwise convolution over a ring of paired
  * rows: input row r ([ns][cpad][2]) sits in slot r % k, slot int16
  * apart.  r0 is the window's first input row (negative inside the top
@@ -582,39 +532,6 @@ static void dw_row(const int16_t *ring, int64_t slot, const int16_t *w,
     dw_block(rows, dr0, dr1, w, kp, px, sx, o, j, v, NP, NV)
     ROW_BLOCKS(q, nvec, DW_BLOCK);
 #undef DW_BLOCK
-}
-
-/* Depthwise k x k convolution of NHWC int8 x[B, H, W, C] with the paired
- * weights w[k, ceil(k/2), PADDED(C), 2] into out[B, P, Q, C] at the given
- * stride and zero padding.  Each input row is paired once into a ring of
- * k rows (pair_pixels); the tap blocks requantize into the output. */
-int32_t vmcu_depthwise(const int8_t *x, const int16_t *w, int8_t *out,
-                       int32_t batch, int32_t h, int32_t wd, int32_t c,
-                       int32_t k, int32_t stride, int32_t pad, int32_t p,
-                       int32_t q, int32_t mult, int32_t shift) {
-    const int32_t cp = PADDED(c), ns = paired_width(q, stride, k);
-    const int64_t slot = (int64_t)ns * 2 * cp;
-    int16_t *ring = ring_alloc(k, slot);
-    out_t o = {.kind = OUT_I8, .q = rq_make(mult, shift), .c = c};
-    if (!ring) return 1;
-    for (int32_t b = 0; b < batch; ++b) {
-        int32_t next = 0; /* first input row not yet in the ring */
-        for (int32_t i = 0; i < p; ++i) {
-            /* the window's rows [r0, r0 + k) clipped to the input; rows
-             * above it are dead, and rows no window reads (stride > k)
-             * are never loaded */
-            const int32_t r0 = i * stride - pad;
-            const int32_t hi = r0 + k < h ? r0 + k : h;
-            if (next < r0) next = r0;
-            for (; next < hi; ++next)
-                pair_pixels(x + ((int64_t)b * h + next) * wd * c, wd, c,
-                            ring + next % k * slot, pad, ns, cp);
-            o.dst = out + ((int64_t)b * p + i) * q * c;
-            dw_row(ring, slot, w, r0, h, cp, VECTORS(c), k, stride, q, &o);
-        }
-    }
-    free(ring);
-    return 0;
 }
 
 /* int32 lanes per vector of this build: 16 under AVX-512BW, 8 under AVX2,
@@ -721,7 +638,7 @@ static int32_t avgpool(const int64_t *d, int32_t batch, const int8_t *x,
         for (int64_t s = 0; s < n; ++s)
             for (int32_t t = 0; t < c; ++t)
                 acc[t] += (uint32_t)(int32_t)xb[s * c + t];
-        rq_store((const int32_t *)acc, NULL, out + (int64_t)b * c, c, rq);
+        rq_store((const int32_t *)acc, out + (int64_t)b * c, c, rq);
     }
     free(acc);
     return 0;

@@ -287,8 +287,8 @@ class FastBackend(ExecutionBackend):
     # the depthwise taps — and the stage helpers are overridable hooks so
     # a backend can swap the *implementation* (the "turbo" backend runs
     # the stage helpers, and its stacked pass as one call over a stage
-    # table, in native leaves where the host builds them, and otherwise
-    # routes the three leaves through an exact float64 BLAS GEMM and
+    # table, in native leaves where the host builds them, and routes the
+    # GEMM and the requantize through an exact float64 BLAS GEMM and
     # requantize_fast); the NumPy bodies here are the reference
     # arithmetic every override is property-tested against.
     def _gemm(

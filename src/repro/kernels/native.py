@@ -5,7 +5,8 @@ bottlenecks: whole-tensor NumPy/BLAS passes that materialize the
 expanded tensor (at float64) between the expand, depthwise and project
 stages.  The paper's fused kernel streams the block row by row instead;
 ``_native.c`` does the same on the host, and runs every other pipeline
-stage too, so a whole segment of a compiled model is one call:
+stage too, so a whole segment of a compiled model is one call to the
+library's one compute entry:
 
 * ``vmcu_segment`` — the stages of a segment in order over a batch, from
   a table of stage rows (:class:`SegmentTable`: each stage's kind,
@@ -20,18 +21,17 @@ stage too, so a whole segment of a compiled model is one call:
   and the saturating residual add, holding only a ``k``-row ring of the
   expanded tensor (as int16 pairs) and the project's int16 input row; a
   pointwise or dense row runs int16-pair GEMM rows over strided pixels,
-  64 pixels at a time;
-* ``vmcu_requant_i32`` / ``vmcu_requant_f64`` — the exact gemmlowp
-  requantize in one pass over int32 or float64-held accumulators, with the
-  bottleneck's saturating residual add optionally fused in;
-* ``vmcu_depthwise`` — the standalone depthwise convolution, on the same
-  tap blocks and requantize as the bottleneck.
+  64 pixels at a time; an average-pool row sums and requantizes.
 
-Every entry allocates its own scratch, so concurrent callers share only
+The library's other exports (``vmcu_stage_fields``, ``vmcu_lanes`` and
+``vmcu_accumulate``) describe the build and are checked when it loads.
+Kernel-API calls that no compiled model makes, the standalone depthwise
+and conv2d, have no native leaf: turbo runs them on its portable leaves.
+Every stage allocates its own scratch, so concurrent callers share only
 read-only inputs.
 
-Their multiply-accumulates run as the paper's MCU kernels run them with
-SMLAD: int8 operands widened to int16 pairs, and one x86 ``pmaddwd``
+The stages' multiply-accumulates run as the paper's MCU kernels run them
+with SMLAD: int8 operands widened to int16 pairs, and one x86 ``pmaddwd``
 adding two products into each int32 lane (or one ``vpdpwssd``, which
 also adds them to the accumulator, on AVX512-VNNI targets).  That is
 exact: an int8 product is at most ``2**14`` in magnitude, so a pair sum
@@ -39,12 +39,12 @@ is at most ``2**15``; ``pmaddwd`` overflows only on two
 ``(-32768)*(-32768)`` products, which int8 operands never produce; and
 the lanes accumulate modulo ``2**32`` like NumPy's int32.  Weights come
 from :func:`pack_i16_pairs`: the reduction axis in int16 pairs, the
-channel axis zero-padded to 16k.  The depthwise pairs horizontally
-adjacent taps, so its rows are held paired too.  Vectors are sized to
-the build target by its predefined macros: 16 int32 lanes under
-AVX-512BW, 8 under AVX2, 4 under SSE2, which every x86-64 target has,
-and a portable form of ``pmaddwd`` at 4 lanes elsewhere.  Every build
-has every leaf.
+channel axis zero-padded to 16k.  The bottleneck's depthwise pairs
+horizontally adjacent taps, so its ring rows are held paired too.
+Vectors are sized to the build target by its predefined macros: 16 int32
+lanes under AVX-512BW, 8 under AVX2, 4 under SSE2, which every x86-64
+target has, and a portable form of ``pmaddwd`` at 4 lanes elsewhere.
+Every build runs every stage kind.
 
 Both multiply-accumulate loops (GEMM rows and depthwise taps) run
 register blocks of pixels by channel vectors, at least 8 independent
@@ -402,18 +402,10 @@ class _Leaves:
     """Typed ctypes bindings of the compiled ``_native.c``."""
 
     def __init__(self, lib: ctypes.CDLL):
-        ptr, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
-        self._requant_i32 = lib.vmcu_requant_i32
-        self._requant_f64 = lib.vmcu_requant_f64
-        for fn in (self._requant_i32, self._requant_f64):
-            fn.argtypes = (ptr, ptr, ptr, i64, i32, i32)
-            fn.restype = None
-        self._depthwise = lib.vmcu_depthwise
-        self._depthwise.argtypes = (ptr,) * 3 + (i32,) * 11
+        ptr, i32 = ctypes.c_void_p, ctypes.c_int32
         self._segment = lib.vmcu_segment
         self._segment.argtypes = (ptr, i32, i32, ptr, ptr)
-        for fn in (self._depthwise, self._segment, lib.vmcu_stage_fields,
-                   lib.vmcu_lanes):
+        for fn in (self._segment, lib.vmcu_stage_fields, lib.vmcu_lanes):
             fn.restype = i32
         lib.vmcu_accumulate.restype = ctypes.c_char_p
         lib.vmcu_stage_fields.argtypes = lib.vmcu_lanes.argtypes = ()
@@ -434,61 +426,6 @@ class _Leaves:
                 f"the library accumulates with {self.accumulate!r}, not one "
                 f"of {_ACCUMULATE}"
             )
-
-    def requantize(self, acc, mult, residual=None) -> np.ndarray:
-        """:func:`repro.quant.requantize` in one pass, plus an optional
-        saturating int8 ``residual`` add (same element count as ``acc``).
-
-        float64 accumulators must hold integers (the turbo GEMM's exact
-        products); anything else is read as int32, as ``requantize`` does.
-        """
-        acc = np.asarray(acc)
-        if acc.dtype == np.float64:
-            acc, fn = np.ascontiguousarray(acc), self._requant_f64
-        else:
-            acc = np.ascontiguousarray(acc, dtype=np.int32)
-            fn = self._requant_i32
-        res_ptr = None
-        if residual is not None:
-            if residual.dtype != np.int8 or residual.size != acc.size:
-                raise ShapeError(
-                    f"residual must be int8 with {acc.size} elements, got "
-                    f"{residual.dtype}{list(residual.shape)}"
-                )
-            residual = np.ascontiguousarray(residual)
-            res_ptr = residual.ctypes.data
-        out = np.empty(acc.shape, dtype=np.int8)
-        fn(acc.ctypes.data, res_ptr, out.ctypes.data, acc.size,
-           *_mult_args(mult))
-        return out
-
-    def depthwise(self, xb, w, mult, stride: int, pad: int) -> np.ndarray:
-        """Depthwise ``int8[B, H, W, C]`` taps, requantized.
-
-        Same contract as ``FastBackend._depthwise_batch``, except that
-        ``w`` is the ``pack_i16_pairs`` pack of the ``int8[k, k, C]``
-        weights.
-        """
-        if xb.ndim != 4 or xb.dtype != np.int8:
-            raise ShapeError("depthwise needs int8 [B, H, W, C] activations")
-        bsz, h, wd, c = xb.shape
-        k = w.shape[0]
-        w = _packed(w, (k,), k, c)
-        if stride <= 0 or pad < 0:
-            raise ShapeError(f"bad depthwise stride {stride} / pad {pad}")
-        p = (h + 2 * pad - k) // stride + 1
-        q = (wd + 2 * pad - k) // stride + 1
-        if p <= 0 or q <= 0:
-            raise ShapeError(
-                f"depthwise k={k} pad={pad} collapses {h}x{wd} to {p}x{q}"
-            )
-        xb = np.ascontiguousarray(xb)
-        out = np.empty((bsz, p, q, c), dtype=np.int8)
-        _check(self._depthwise(
-            xb.ctypes.data, w.ctypes.data, out.ctypes.data, bsz, h, wd, c, k,
-            stride, pad, p, q, *_mult_args(mult),
-        ))
-        return out
 
     def segment(self, table: SegmentTable, xb) -> list[np.ndarray]:
         """Every stage of ``table`` over the batch ``xb`` in one call.

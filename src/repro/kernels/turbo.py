@@ -22,22 +22,22 @@ remaining *provably bit-exact*:
   the inverted bottleneck fused the way the paper's kernel streams it
   (expand, depthwise at stride ``s2*s3``, project, every requantize and
   the residual add in one pass per output row, holding only a ``k``-row
-  ring of the expanded tensor), the global average pool and the
-  standalone depthwise.  Their multiply-accumulates are ``pmaddwd`` over
-  int16 pairs of the int8 operands (``vpdpwssd`` on AVX512-VNNI), the
-  host's counterpart of the SMLAD the paper's MCU kernels run: two
-  products per int32 lane.  A pair sum is at most ``2**15`` in
-  magnitude, so no lane overflows, and the int32 accumulation wraps
-  modulo ``2**32`` exactly like the fast backend's, so it is bit-exact
-  for any reduction depth.  The loops run register blocks of pixels by
-  channel vectors and requantize each block as it leaves the loop, as
-  the paper's kernels do, so no stage stores its int32 accumulators.
-  The per-request path (``run_pipeline``: ``CompiledModel.run`` and the
-  cost template's dry run) runs each stage as a one-row segment, so with
-  the leaves loaded no pipeline stage reaches BLAS, and BLAS's thread
-  count does not matter to serving.  Every build target has every
-  leaf, with one ``pmaddwd`` per target (AVX-512BW, AVX2, SSE2, or a
-  portable form); ``native.status()`` names the loaded one.
+  ring of the expanded tensor) and the global average pool.  Their
+  multiply-accumulates are ``pmaddwd`` over int16 pairs of the int8
+  operands (``vpdpwssd`` on AVX512-VNNI), the host's counterpart of the
+  SMLAD the paper's MCU kernels run: two products per int32 lane.  A
+  pair sum is at most ``2**15`` in magnitude, so no lane overflows, and
+  the int32 accumulation wraps modulo ``2**32`` exactly like the fast
+  backend's, so it is bit-exact for any reduction depth.  The loops run
+  register blocks of pixels by channel vectors and requantize each block
+  as it leaves the loop, as the paper's kernels do, so no stage stores
+  its int32 accumulators.  The per-request path (``run_pipeline``:
+  ``CompiledModel.run`` and the cost template's dry run) runs each stage
+  as a one-row segment, so with the leaves loaded every pipeline stage
+  on every path is a ``vmcu_segment`` row, none reaches BLAS, and BLAS's
+  thread count does not matter to serving.  Every build target runs
+  every stage kind, with one ``pmaddwd`` per target (AVX-512BW, AVX2,
+  SSE2, or a portable form); ``native.status()`` names the loaded one.
 
 * **without a compiler**, or when the build fails, the backend keeps the
   fast backend's stage structure with three swapped leaves:
@@ -52,13 +52,16 @@ remaining *provably bit-exact*:
     simulator's accumulator bit for bit.  Shapes with ``K >= 2**17``
     (none exist in the Table 2 models; the guard is there for arbitrary
     user graphs) fall back to the int32 matmul, where wrapping semantics
-    are native.  conv2d, which is not a pipeline stage, runs this GEMM
-    with the leaves loaded too;
+    are native;
   - **requantize** as :func:`repro.quant.requantize_fast` (one float64
     multiply-and-round, with the exact integer pipeline replayed only on
     the few percent of elements near a rounding boundary; see its
     docstring);
   - **depthwise taps** as the fast backend's tap loop.
+
+* **kernel-API calls that no compiled model makes** — conv2d and the
+  standalone depthwise, which the compiler's lowering never emits — run
+  these same three leaves whether or not the native build is loaded.
 
 Costs are untouched: the backend shares the fast backend's per-plan
 :class:`~repro.kernels.base.CostTemplate` cache, so per-request
@@ -118,6 +121,10 @@ def _bottleneck_stage(kern, w_expand, w_dw, w_project, mults):
     return native.bottleneck_stage(
         kern.spec, _pairs(w_expand), _pairs(w_dw), _pairs(w_project), mults
     )
+
+
+def _avgpool_stage(kern, mult) -> native.Stage:
+    return native.avgpool_stage(kern.h, kern.w, kern.c, mult)
 
 
 def _run_stage(leaves, stage: native.Stage, xb) -> np.ndarray:
@@ -205,7 +212,7 @@ class TurboBackend(FastBackend):
                     tuple(stage.mults),
                 )
             elif isinstance(stage, GlobalAvgPoolStage):
-                row = native.avgpool_stage(kern.h, kern.w, kern.c, stage.mult)
+                row = _avgpool_stage(kern, stage.mult)
             elif isinstance(stage, DenseStage):
                 row = _dense_stage(kern, stage.weights, stage.mult)
             else:
@@ -252,16 +259,7 @@ class TurboBackend(FastBackend):
         return x2d.astype(np.float64) @ wp
 
     def _requant(self, acc: np.ndarray, mult, residual=None) -> np.ndarray:
-        leaves = native.leaves()
-        if leaves is None:
-            return _saturating_add(requantize_fast(acc, mult), residual)
-        return leaves.requantize(acc, mult, residual)
-
-    def _depthwise_batch(self, xb, w, mult, stride, pad) -> np.ndarray:
-        leaves = native.leaves()
-        if leaves is None:
-            return super()._depthwise_batch(xb, w, mult, stride, pad)
-        return leaves.depthwise(xb, _pairs(w), mult, stride, pad)
+        return _saturating_add(requantize_fast(acc, mult), residual)
 
     def _pointwise_batch(self, kern, xb, w, mult):
         leaves = native.leaves()
@@ -276,6 +274,12 @@ class TurboBackend(FastBackend):
             return super()._dense_batch(kern, xb, w, mult)
         _fault_hook("backend.turbo.gemm")
         return _run_stage(leaves, _dense_stage(kern, w, mult), xb)
+
+    def _avgpool_batch(self, kern, xb, mult):
+        leaves = native.leaves()
+        if leaves is None:
+            return super()._avgpool_batch(kern, xb, mult)
+        return _run_stage(leaves, _avgpool_stage(kern, mult), xb)
 
     def _bottleneck_batch(self, kern, xb, w_expand, w_dw, w_project, mults):
         leaves = native.leaves()

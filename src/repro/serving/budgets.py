@@ -25,7 +25,6 @@ replays open:
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -282,17 +281,15 @@ def availability_report(
 #: audit kinds that mark a failure onset
 _FAILURE_KINDS = frozenset({"crash", "degrade"})
 
-_TENANT_RE = re.compile(r"tenant '([^']+)'")
-
 
 @dataclass(frozen=True)
 class RepairMetrics:
     """MTTR/MTBF derived from the dispatcher audit trail.
 
-    MTTR pairs each ``degrade`` with the next ``restore`` for the same
-    tenant (the only failure class whose recovery is a *separate*
-    audited event — crash respawns are logged at recovery time, repair
-    already done).  MTBF is the mean gap between
+    MTTR pairs each ``degrade`` with the next ``restore`` of the same
+    :attr:`ConfigChange.tenant` (the only failure class whose recovery
+    is a *separate* audited event — crash respawns are logged at
+    recovery time, repair already done).  MTBF is the mean gap between
     consecutive failure-onset events of any kind; with fewer than two
     failures it falls back to ``horizon_s`` over the failure count.
     """
@@ -303,35 +300,27 @@ class RepairMetrics:
     mtbf_s: float | None = None
 
 
-def _tenant_of(change: "ConfigChange") -> str | None:
-    for line in change.summary:
-        m = _TENANT_RE.search(line)
-        if m:
-            return m.group(1)
-    return None
-
-
 def repair_metrics(
     audit: Sequence["ConfigChange"], *, horizon_s: float | None = None
 ) -> RepairMetrics:
     """Derive :class:`RepairMetrics` from an audit trail (oldest first)."""
     failures: list[float] = []
     repairs = 0
-    open_degrades: dict[str, list[float]] = {}
+    open_degrades: dict[str | None, list[float]] = {}
     repair_spans: list[float] = []
     for change in audit:
         if change.kind in _FAILURE_KINDS:
             failures.append(change.at_s)
             if change.kind == "degrade":
-                tenant = _tenant_of(change) or ""
-                open_degrades.setdefault(tenant, []).append(change.at_s)
+                open_degrades.setdefault(change.tenant, []).append(
+                    change.at_s
+                )
             else:
                 # crash records land at recovery time: the repair is
                 # already done, observable repair span ~ 0
                 repairs += 1
         elif change.kind == "restore":
-            tenant = _tenant_of(change) or ""
-            pending = open_degrades.get(tenant)
+            pending = open_degrades.get(change.tenant)
             if pending:
                 repair_spans.append(change.at_s - pending.pop(0))
                 repairs += 1

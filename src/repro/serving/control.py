@@ -393,6 +393,9 @@ class ConfigChange:
     kind: str
     #: human-readable what-changed lines
     summary: tuple[str, ...]
+    #: the tenant a per-tenant event (``"degrade"``, ``"restore"``,
+    #: ``"quarantine"``) concerns; ``None`` on fleet-wide records
+    tenant: str | None = None
 
 
 @runtime_checkable
@@ -482,12 +485,15 @@ class ControlPlane:
             self._audit.append(change)
             return change
 
-    def record(self, kind: str, *summary: str) -> ConfigChange:
-        """Append a non-config audit event (e.g. an autoscaler resize)."""
+    def record(
+        self, kind: str, *summary: str, tenant: str | None = None
+    ) -> ConfigChange:
+        """Append a non-config audit event (e.g. an autoscaler resize),
+        naming the ``tenant`` it concerns if it concerns one."""
         with self._lock:
             change = ConfigChange(
                 epoch=self._epoch, at_s=self._now(), kind=kind,
-                summary=tuple(summary),
+                summary=tuple(summary), tenant=tenant,
             )
             self._audit.append(change)
             return change
@@ -569,43 +575,27 @@ class Autoscaler:
     ) -> int | None:
         """New worker target, or ``None`` to leave the fleet alone.
 
-        Serialized internally with :meth:`apply_config`, which resets
-        the shrink streak from another thread, and with any second
-        caller, which could otherwise pass the cooldown check twice.
+        The heuristic's target is :meth:`desired_workers` when that is
+        above ``workers``, one worker fewer when the backlog would fit
+        ``scale_down_backlog`` batches per worker on one fewer worker,
+        and ``workers`` otherwise; the fleet then steers toward it under
+        the hysteresis :meth:`decide_target` applies.  Serialized
+        internally with :meth:`apply_config`, which resets the shrink
+        streak from another thread, and with any second caller, which
+        could otherwise pass the cooldown check twice.
         """
         with self._lock:
             cfg = self._config
-            if workers < cfg.min_workers:
-                return cfg.min_workers
-            if workers > cfg.max_workers:
-                return cfg.max_workers
-            desired = self.desired_workers(
+            target = self.desired_workers(
                 queue_depth=queue_depth, service_s=service_s
             )
-            if desired > workers:
-                self._low_streak = 0
-                if now < self._cool_until:
-                    return None
-                self._cool_until = now + cfg.scale_cooldown_s
-                return desired
-            backlog_batches = queue_depth / max(1, cfg.max_batch)
-            fits_smaller = (
-                workers > cfg.min_workers
-                and backlog_batches
-                <= cfg.scale_down_backlog * max(1, workers - 1)
-            )
-            if not fits_smaller:
-                self._low_streak = 0
-                return None
-            self._low_streak += 1
-            if (
-                self._low_streak < cfg.scale_patience
-                or now < self._cool_until
-            ):
-                return None
-            self._low_streak = 0
-            self._cool_until = now + cfg.scale_cooldown_s
-            return workers - 1
+            if target <= workers:
+                backlog_batches = queue_depth / max(1, cfg.max_batch)
+                fits_smaller = backlog_batches <= (
+                    cfg.scale_down_backlog * max(1, workers - 1)
+                )
+                target = workers - 1 if fits_smaller else workers
+            return self._steer(target, workers, now)
 
     def decide_target(
         self, *, target: int, workers: int, now: float
@@ -614,35 +604,39 @@ class Autoscaler:
 
         The model-driven path: the dispatcher plans capacity from the
         measured arrival rate (:func:`repro.fleet.planner.plan_capacity`
-        plus fault headroom) and hands the answer here, which applies
-        the *same* clamp / cooldown / shrink-patience discipline as the
-        heuristic — model and heuristic modes share one hysteresis, so
-        switching modes live never double-fires a resize.  Growth jumps
-        straight to the planned target (a storm wants capacity now);
-        shrinking steps down one worker per patience streak.
+        plus fault headroom) and hands the answer here.  Model and
+        heuristic modes share one hysteresis, so switching modes live
+        never double-fires a resize: a ``workers`` outside the config
+        range is clamped back at once, cooldown or not (a hard bound, not
+        a load decision); growth jumps straight to the target (a storm
+        wants capacity now) once ``scale_cooldown_s`` has passed since
+        the last resize; shrinking steps down one worker after
+        ``scale_patience`` consecutive observations below ``workers``,
+        and any other observation restarts that count.
         """
         with self._lock:
-            cfg = self._config
-            if workers < cfg.min_workers:
-                return cfg.min_workers
-            if workers > cfg.max_workers:
-                return cfg.max_workers
-            target = max(cfg.min_workers, min(cfg.max_workers, target))
-            if target > workers:
-                self._low_streak = 0
-                if now < self._cool_until:
-                    return None
-                self._cool_until = now + cfg.scale_cooldown_s
-                return target
-            if target == workers:
-                self._low_streak = 0
-                return None
-            self._low_streak += 1
-            if (
-                self._low_streak < cfg.scale_patience
-                or now < self._cool_until
-            ):
-                return None
+            return self._steer(target, workers, now)
+
+    def _steer(self, target: int, workers: int, now: float) -> int | None:
+        """The shared hysteresis; the caller holds ``_lock``."""
+        cfg = self._config
+        if workers < cfg.min_workers:
+            return cfg.min_workers
+        if workers > cfg.max_workers:
+            return cfg.max_workers
+        target = max(cfg.min_workers, min(cfg.max_workers, target))
+        if target > workers:
             self._low_streak = 0
+            if now < self._cool_until:
+                return None
             self._cool_until = now + cfg.scale_cooldown_s
-            return workers - 1
+            return target
+        if target == workers:
+            self._low_streak = 0
+            return None
+        self._low_streak += 1
+        if self._low_streak < cfg.scale_patience or now < self._cool_until:
+            return None
+        self._low_streak = 0
+        self._cool_until = now + cfg.scale_cooldown_s
+        return workers - 1

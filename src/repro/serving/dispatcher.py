@@ -473,7 +473,6 @@ class Dispatcher:
         self.control.subscribe(self.queue)
         self.control.subscribe(self._autoscaler)
         self._seq = itertools.count()
-        self._admitted = 0
         self._submit_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._first_submit_t: float | None = None
@@ -488,14 +487,17 @@ class Dispatcher:
         self._service_s: dict[str, float | None] = {
             t: None for t in self.sessions
         }
-        self._retries = 0
-        self._retry_denied = 0
         #: fleet-wide retry guardrail: admissions fill it, retries drain
         #: it, so a fault storm can never amplify itself past
-        #: ``burst + ratio x admitted`` extra attempts
+        #: ``burst + ratio x admitted`` extra attempts.  Its admitted,
+        #: granted and denied counts are the fleet's ``submitted``,
+        #: ``retries`` and ``retry_denied``
         self._retry_budget = RetryBudget(
             config.retry_budget_ratio, config.retry_budget_burst
         )
+        #: whether the budget's first denial has been audited (once per
+        #: dispatcher, under ``_stats_lock``)
+        self._retry_denial_audited = False
         #: model-driven autoscaler inputs: recent admission instants
         #: (measured arrival rate) and batch (span, size) history
         #: (service profile); bounded so a long-lived fleet stays O(1)
@@ -921,10 +923,9 @@ class Dispatcher:
         )
         self.queue.put(ticket)  # AdmissionError propagates to the caller
         # counters only move once the request is actually admitted, so a
-        # rejected burst neither inflates `submitted` nor starts the
-        # throughput wall clock
+        # rejected burst neither inflates `submitted` (the retry budget's
+        # admitted count) nor starts the throughput wall clock
         with self._submit_lock:
-            self._admitted += 1
             if self._first_submit_t is None:
                 self._first_submit_t = now
             self._admit_times.append(now)
@@ -1092,6 +1093,7 @@ class Dispatcher:
             "quarantine",
             f"worker {worker_id}: batch of {len(batch)} for "
             f"{tenant!r} quarantined after {batch_exc!r}",
+            tenant=tenant,
         )
         for ticket in batch:
             self._serve_single(worker_id, tenant, ticket, batch_exc)
@@ -1129,8 +1131,8 @@ class Dispatcher:
                     # itself through the retry path (the first
                     # isolation run above was still mandatory)
                     with self._stats_lock:
-                        self._retry_denied += 1
-                        first_denial = self._retry_denied == 1
+                        first_denial = not self._retry_denial_audited
+                        self._retry_denial_audited = True
                     if first_denial:
                         snap = self._retry_budget.snapshot
                         self.control.record(
@@ -1144,8 +1146,6 @@ class Dispatcher:
                     break
                 if delay > 0:
                     time.sleep(delay)
-                with self._stats_lock:
-                    self._retries += 1
             attempts = k
             execution, probe = breaker.plan_execution()
             t0 = time.monotonic()
@@ -1250,12 +1250,14 @@ class Dispatcher:
                 f"tenant {tenant!r}: circuit opened after repeated "
                 f"failures; {breaker.primary!r} -> {breaker.fallback!r} "
                 "(bit-exact, wall clock only)",
+                tenant=tenant,
             )
         else:
             self.control.record(
                 "restore",
                 f"tenant {tenant!r}: probe succeeded; "
                 f"{breaker.primary!r} restored",
+                tenant=tenant,
             )
 
     def _worker_died(
@@ -1299,8 +1301,9 @@ class Dispatcher:
             wall = 0.0
             if self._first_submit_t is not None and self._last_done_t:
                 wall = max(0.0, self._last_done_t - self._first_submit_t)
+            budget = self._retry_budget.snapshot
             return DispatchStats(
-                submitted=self._admitted,
+                submitted=budget["admitted"],
                 rejected=self.queue.rejected,
                 completed=sum(t.requests for t in per_tenant.values()),
                 failed=sum(t.failed for t in per_tenant.values()),
@@ -1316,9 +1319,9 @@ class Dispatcher:
                 quarantined=sum(
                     t.quarantined for t in per_tenant.values()
                 ),
-                retries=self._retries,
-                retry_denied=self._retry_denied,
-                retry_budget=self._retry_budget.snapshot,
+                retries=budget["granted"],
+                retry_denied=budget["denied"],
+                retry_budget=budget,
                 planned_workers=self._planned_workers,
                 worker_crashes=self._worker_crashes,
                 degraded={

@@ -9,16 +9,18 @@
   keeps serving bit-exact results through ``requantize_fast`` and the
   NumPy tap loop;
 * every build target has the fused bottleneck leaf and serves bit-exact
-  through its segment entry, register-block tails and all: an AVX2 build
-  at 8 int32 lanes, a baseline x86-64 (SSE2) build at 4, AVX-512 builds
-  at 16 accumulating through ``pmaddwd`` (skylake-avx512) and through
-  ``vpdpwssd`` (icelake-server), and a build with the intrinsic branches'
-  macros undefined, which runs the portable form of ``pmaddwd``;
-  ``status()`` reports the lanes and the accumulate instruction;
+  through its segment entry, register-block tails, depthwise kernels,
+  strides, pads and ring widths and all: an AVX2 build at 8 int32 lanes,
+  a baseline x86-64 (SSE2) build at 4, AVX-512 builds at 16 accumulating
+  through ``pmaddwd`` (skylake-avx512) and through ``vpdpwssd``
+  (icelake-server), and a build with the intrinsic branches' macros
+  undefined, which runs the portable form of ``pmaddwd``; ``status()``
+  reports the lanes and the accumulate instruction, and ``nm`` lists the
+  library's four exports, ``vmcu_segment`` the one compute entry;
 * a build under AddressSanitizer and UBSan serves both models, chains of
-  every stage kind and every register-block tail, and the standalone
-  depthwise bit-exact, in a spawned interpreter with the sanitizer
-  runtime preloaded.
+  every stage kind and every register-block tail, depthwise kernel,
+  stride and ring width bit-exact, in a spawned interpreter with the
+  sanitizer runtime preloaded.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from repro.runtime.pipeline import BottleneckStage, Pipeline, PointwiseStage
 from tests.kernels.test_turbo_backend import (
     BLOCK_CHAINS,
     assert_chain_matches_fast,
-    assert_depthwise_pads_match_fast,
     fused_calls,
     random_chain,
     random_int8,
@@ -199,11 +200,30 @@ def test_turbo_falls_back_bit_exact(tmp_path, monkeypatch, breakage):
         )
 
 
+#: the library's exports: its one compute entry and what describes the
+#: build (``_Leaves`` binds each)
+EXPORTS = {"vmcu_accumulate", "vmcu_lanes", "vmcu_segment", "vmcu_stage_fields"}
+
+
+def assert_exports(path: Path) -> None:
+    """``nm -D --defined-only`` lists exactly EXPORTS among the library's
+    ``vmcu_*`` symbols; not checked where ``nm`` is missing."""
+    nm = shutil.which("nm")
+    if nm is None:
+        return
+    out = subprocess.run(
+        [nm, "-D", "--defined-only", str(path)], capture_output=True,
+        text=True, check=True,
+    ).stdout
+    names = {line.split()[-1] for line in out.splitlines() if line.strip()}
+    assert {n for n in names if n.startswith("vmcu_")} == EXPORTS
+
+
 def _serves_bit_exact(path: Path, monkeypatch) -> native._Leaves:
     """Load the library at ``path`` as this process's leaves; turbo must
-    serve the bottleneck pipeline and BLOCK_CHAINS through its segment
-    entry and its depthwise leaf must match the NumPy tap loop at every
-    pad, bit for bit."""
+    serve the bottleneck pipeline and BLOCK_CHAINS (every depthwise
+    kernel, stride, pad and ring width among them) through its segment
+    entry, bit for bit."""
     found = native._Leaves(ctypes.CDLL(str(path)))
     monkeypatch.setattr(native, "_loaded", (found, f"loaded from {path}"))
     rng = np.random.default_rng(1)
@@ -226,21 +246,6 @@ def _serves_bit_exact(path: Path, monkeypatch) -> native._Leaves:
         np.testing.assert_array_equal(
             res.output, pipe.run(x, plan=plan, execution="fast").output
         )
-    xb = rng.integers(-128, 128, size=(2, 9, 13, 33), dtype=np.int8)
-    mult = quantize_multiplier(0.02)
-    for k in (2, 3, 4, 7):
-        wd = rng.integers(-128, 128, size=(k, k, 33), dtype=np.int8)
-        for stride in (1, 2):
-            np.testing.assert_array_equal(
-                found.depthwise(
-                    xb, native.pack_i16_pairs(wd, 0), mult, stride,
-                    (k - 1) // 2,
-                ),
-                get_execution_backend("fast")._depthwise_batch(
-                    xb, wd, mult, stride, (k - 1) // 2
-                ),
-            )
-    assert_depthwise_pads_match_fast(found, rng)
     for hw, c, body, classes in BLOCK_CHAINS:
         assert_chain_matches_fast(
             random_chain(rng, hw, c, body, classes),
@@ -286,6 +291,7 @@ def test_build_target_selects_the_fused_bottleneck(
     )
     path = native.build(native.SOURCE.read_text(), directory=tmp_path)
     assert hasattr(ctypes.CDLL(str(path)), "vmcu_segment")
+    assert_exports(path)
     found = _serves_bit_exact(path, monkeypatch)
     assert (found.lanes, found.accumulate) == (lanes, accumulate)
     assert f"{lanes} int32 lanes, {accumulate}" in native.status()
@@ -302,6 +308,7 @@ def test_portable_pmaddwd_is_bit_exact(tmp_path, monkeypatch):
          "-U__AVX512VNNI__"),
     )
     path = native.build(native.SOURCE.read_text(), directory=tmp_path)
+    assert_exports(path)
     found = _serves_bit_exact(path, monkeypatch)
     assert (found.lanes, found.accumulate) == (4, "portable pmaddwd")
     assert "4 int32 lanes, portable pmaddwd" in native.status()
@@ -309,12 +316,12 @@ def test_portable_pmaddwd_is_bit_exact(tmp_path, monkeypatch):
 
 #: served in a spawned interpreter over a sanitized build of the leaves:
 #: both models at B=3 through Session.run_batch, a few random chains of
-#: every stage kind, BLOCK_CHAINS (c_out 17 and 33 at 7 pixels, so an
+#: every stage kind, and BLOCK_CHAINS (c_out 17 and 33 at 7 pixels, so an
 #: int8 store past a pixel's valid channels, or past the output, and a
-#: pair write past a ring narrower than its row abort), and the
-#: standalone depthwise at every pad, each bit-exact against "fast";
-#: exits nonzero on a mismatch, and the sanitizers abort on any memory
-#: error or undefined behaviour
+#: pair write past a ring narrower than its row abort; every depthwise
+#: kernel, stride and pad), each bit-exact against "fast"; exits nonzero
+#: on a mismatch, and the sanitizers abort on any memory error or
+#: undefined behaviour
 SANITIZED_SERVING = r"""
 import ctypes
 import sys
@@ -322,18 +329,15 @@ import sys
 import numpy as np
 
 from repro.kernels import get_execution_backend, native
-from repro.kernels.native import pack_i16_pairs
 
 native._loaded = (native._Leaves(ctypes.CDLL(sys.argv[1])), "sanitized")
 
 import repro
 from repro.graph.models import build_classifier_graph, build_network_graph
 from repro.mcu.device import STM32F767ZI
-from repro.quant import quantize_multiplier
 from tests.kernels.test_turbo_backend import (
     BLOCK_CHAINS,
     assert_chain_matches_fast,
-    assert_depthwise_pads_match_fast,
     random_chain,
     segment_calls,
 )
@@ -382,14 +386,6 @@ with segment_calls() as calls:
                         fast.run_pipeline_batch(pipe, plan, xs)):
             assert np.array_equal(a.output, b.output), plan
 assert len(calls) == 1 + 2 + len(chains), len(calls)
-xb = rng.integers(-128, 128, (2, 9, 13, 33), np.int8)
-wd = rng.integers(-128, 128, (5, 5, 33), np.int8)
-mult = quantize_multiplier(0.02)
-assert np.array_equal(
-    native.leaves().depthwise(xb, pack_i16_pairs(wd, 0), mult, 2, 2),
-    fast._depthwise_batch(xb, wd, mult, 2, 2),
-)
-assert_depthwise_pads_match_fast(native.leaves(), rng)
 for hw, c, body, classes in BLOCK_CHAINS:
     assert_chain_matches_fast(
         random_chain(rng, hw, c, body, classes),
@@ -400,8 +396,8 @@ print("sanitized serving bit-exact")
 
 
 def test_sanitized_build_serves_bit_exact(tmp_path):
-    """The leaves built with AddressSanitizer and UBSan serve both models,
-    mixed chains and the standalone depthwise without a report."""
+    """The leaves built with AddressSanitizer and UBSan serve both models
+    and mixed chains without a report."""
     cc = shutil.which(native.COMPILER)
     if cc is None:
         pytest.skip(f"no {native.COMPILER} on PATH")

@@ -5,14 +5,16 @@ Three layers of evidence:
 * ``requantize_fast`` is property-tested against the exact gemmlowp
   pipeline, including accumulators crafted to sit exactly on (and within
   one ULP of) the rounding-boundary band it special-cases;
-* the native leaves (:mod:`repro.kernels.native`) are property-tested
-  against the NumPy reference arithmetic of ``"fast"``: requantize on
-  int32 and float64-held accumulators at the int32 extremes, on exact
-  rounding ties at every shift and both multiplier ends and with a
-  saturating residual, the depthwise kernel over even and odd kernel
-  sizes, strides, batch sizes, channel counts and padded borders (every
-  pad 0-3, with the paired ring row narrower and wider than the padded
-  input), and the int16 pair packing both leaves' weights take;
+* the native stages (:mod:`repro.kernels.native`) are property-tested
+  against the NumPy reference arithmetic of ``"fast"``: both requantize
+  forms over the accumulators their stages produce (the average pool's
+  scalar one over sums up to ``128 * H * W``, the blocks' vector one over
+  one-pixel pointwise stages that spell every int32 value) on exact
+  rounding ties at every shift and both multiplier ends, the
+  bottleneck's depthwise taps over even and odd kernel sizes, composite
+  strides, batch sizes, channel counts and padded borders (every pad
+  0-3, with the paired ring row narrower and wider than the padded
+  input), and the int16 pair packing their weights take;
 * whole pipelines and single kernels run ``execution="turbo"`` against
   ``"fast"`` (itself parity-locked to ``"simulate"``) and must agree on
   outputs, per-stage cost reports and pool statistics; bottleneck
@@ -179,86 +181,183 @@ def leaves():
     return found
 
 
-def tie_accumulators(shift: int) -> np.ndarray:
-    """int32 accumulators whose requantize lands exactly on rounding ties.
+def tie_centers(
+    shift: int, lo: int = -(2**31), hi: int = 2**31 - 1
+) -> np.ndarray:
+    """Accumulators in ``[lo, hi]`` whose requantize lands exactly on a
+    rounding tie, near zero and near both ends of the range.
 
     With the Q31 mantissa ``2**30`` (one half), SQRDMULH maps ``a`` to
     ``a / 2``: a tie for every odd ``a``.  For even ``a = 2x`` the
     rounding shift then ties wherever ``x = j * 2**shift + 2**(shift-1)``.
-    Each tie comes with its neighbours one and two away, near zero and
-    near both ends of the int32 range.
     """
-    top = (1 << 30) >> shift
+    top, bottom = (hi + 1) // 2 >> shift, -lo // 2 >> shift
     j = np.concatenate(
-        [np.arange(-50, 50), top - np.arange(1, 20), np.arange(20) - top]
+        [np.arange(-50, 50), top - np.arange(1, 20), np.arange(20) - bottom]
     ).astype(np.int64)
     if shift == 0:
         centers = 2 * j + 1
     else:
         centers = 2 * (j * 2**shift + 2 ** (shift - 1))
-    acc = np.concatenate(
-        [(centers[:, None] + np.arange(-2, 3)).ravel(), INT32_EXTREMES]
-    )
-    return np.clip(acc, -(2**31), 2**31 - 1).astype(np.int32)
+    return np.clip(centers, lo, hi)
 
 
-class TestNativeRequantize:
-    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
-    @pytest.mark.parametrize("shift", SHIFTS)
-    def test_rounding_ties(self, leaves, shift, dtype):
-        acc = tie_accumulators(min(shift, 31))
-        for m in MULTIPLIERS:
-            mult = FixedPointMultiplier(multiplier=m, shift=shift)
+def tie_accumulators(
+    shift: int, lo: int = -(2**31), hi: int = 2**31 - 1
+) -> np.ndarray:
+    """int32 :func:`tie_centers`, each with its neighbours one and two
+    away, and the range's ends."""
+    centers = tie_centers(shift, lo, hi)
+    ends = np.array([hi, hi - 1, lo + 1, lo, 0, 1, -1], dtype=np.int64)
+    acc = np.concatenate([(centers[:, None] + np.arange(-2, 3)).ravel(), ends])
+    return np.clip(acc, lo, hi).astype(np.int32)
+
+
+def spell_sums(sums, n: int) -> np.ndarray:
+    """int8 ``[n, len(sums)]`` whose column ``c`` sums to ``sums[c]``, for
+    sums in ``[-128 * n, 127 * n]``: each column is ``n`` copies of the
+    floor quotient, the first ``remainder`` of them one higher."""
+    q, rem = np.divmod(np.asarray(sums, dtype=np.int64), n)
+    return (q + (np.arange(n)[:, None] < rem)).astype(np.int8)
+
+
+#: pixels an average-pool stage sums in the requantize tests: its sums
+#: reach 128 * AVGPOOL_HW**2 = 2**19
+AVGPOOL_HW = 64
+
+
+def assert_avgpool_requantizes(leaves, sums, hw: int, mults) -> None:
+    """One-row average-pool stages over ``hw x hw`` pixels whose channel
+    ``c`` sums to ``sums[c]``: the scalar requantize (``rq1``) of every
+    sum, against :func:`repro.quant.requantize`."""
+    sums = np.asarray(sums, dtype=np.int32)
+    xb = spell_sums(sums, hw * hw).reshape(1, hw, hw, len(sums))
+    assert (xb.astype(np.int64).sum(axis=(1, 2))[0] == sums).all()
+    for mult in mults:
+        stage = native.avgpool_stage(hw, hw, len(sums), mult)
+        np.testing.assert_array_equal(
+            leaves.segment(native.SegmentTable([stage]), xb)[0][0],
+            requantize(sums, mult),
+            err_msg=f"multiplier {mult}",
+        )
+
+
+def spelled_pointwise(targets, offsets):
+    """A one-pixel pointwise stage's int8 weights ``[c_in, len(targets)]``
+    and batch ``[len(offsets), 1, 1, c_in]`` whose pixel ``b`` accumulates
+    ``targets[c] + offsets[b]`` in channel ``c``, modulo ``2**32``.
+
+    Input channels ``[0, m)`` are -128, so each adds ``-128 * w`` with
+    ``|w| <= 128``; their weights carry a target's coarse part ``-128 *
+    S``.  Channel ``m`` holds the pixel's offset (weight 1) and channel
+    ``m + 1`` is 1, with the target's remainder in ``[-64, 64)`` as its
+    weight.  ``m`` grows with the largest target: ``|acc|`` reaches
+    ``c_in * 2**14``, so ``c_in`` a little over ``2**17`` reaches both ends
+    of int32 (the ones just above ``-2**31`` as their wrapped
+    representative, just above ``2**31``)."""
+    t = np.asarray(targets, dtype=np.int64)
+    t = np.where(t < -(2**31) + 2**24, t + 2**32, t)
+    r = (t + 64) % 128 - 64
+    coarse = (r - t) // 128
+    m = int(max(1, (-coarse.min() + 127) // 128, (coarse.max() + 126) // 127))
+    w = np.concatenate(
+        [spell_sums(coarse, m), np.ones((1, len(t)), np.int8), r[None]]
+    ).astype(np.int8)
+    xb = np.full((len(offsets), 1, 1, m + 2), -128, dtype=np.int8)
+    xb[:, 0, 0, m] = offsets
+    xb[:, 0, 0, m + 1] = 1
+    # exact in float64: every partial sum stays below 2**53
+    acc = xb[:, 0, 0].astype(np.float64) @ w.astype(np.float64)
+    want = np.asarray(offsets, dtype=np.int64)[:, None] + t
+    assert (acc.astype(np.int64) == want).all()
+    return w, xb
+
+
+def assert_pointwise_requantizes(leaves, targets, offsets, mults) -> None:
+    """One-pixel pointwise stages spelling ``targets[c] + offsets[b]``
+    (:func:`spelled_pointwise`), 16 targets of like magnitude per stage:
+    the vector requantize (``rq_vec``) of every accumulator, against
+    :func:`repro.quant.requantize` of its int32 value."""
+    targets = np.asarray(targets, dtype=np.int64)
+    order = np.argsort(np.abs(targets), kind="stable")
+    for chunk in np.array_split(order, -(-len(order) // 16)):
+        w, xb = spelled_pointwise(targets[chunk], offsets)
+        want = (
+            np.asarray(offsets, dtype=np.int64)[:, None] + targets[chunk]
+        ).astype(np.int32)  # wraps modulo 2**32, as the int32 lanes do
+        pack = pack_i16_pairs(w, 0)
+        for mult in mults:
+            stage = native.pointwise_stage(
+                1, 1, w.shape[0], w.shape[1], 1, pack, mult
+            )
+            got = leaves.segment(native.SegmentTable([stage]), xb)[0]
             np.testing.assert_array_equal(
-                leaves.requantize(acc.astype(dtype), mult),
-                requantize(acc, mult),
-                err_msg=f"multiplier {m}",
+                got[:, 0, 0], requantize(want, mult),
+                err_msg=f"multiplier {mult}",
             )
 
-    @given(
-        real=st.floats(1e-4, 0.999),
-        seed=st.integers(0, 2**31),
-        as_f64=st.booleans(),
-    )
+
+class TestStageRequantize:
+    """The two requantize forms of the native stages, exact against
+    :func:`repro.quant.requantize` over the accumulators each stage can
+    produce: the scalar ``rq1`` of the average pool, whose sums reach
+    ``128 * H * W``, and the vector ``rq_vec`` that ends every GEMM and
+    depthwise block, whose int32 lanes reach both ends of int32."""
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_avgpool_rounding_ties(self, leaves, shift):
+        n = AVGPOOL_HW**2
+        assert_avgpool_requantizes(
+            leaves, tie_accumulators(min(shift, 31), -128 * n, 127 * n),
+            AVGPOOL_HW,
+            [FixedPointMultiplier(multiplier=m, shift=shift)
+             for m in MULTIPLIERS],
+        )
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_pointwise_rounding_ties(self, leaves, shift):
+        """Each tie accumulator and the int32 ends as a channel's target,
+        its neighbours one and two away as the pixels' offsets."""
+        assert_pointwise_requantizes(
+            leaves,
+            np.concatenate([tie_centers(min(shift, 31)), INT32_EXTREMES]),
+            np.arange(-2, 3),
+            [FixedPointMultiplier(multiplier=m, shift=shift)
+             for m in MULTIPLIERS],
+        )
+
+    @given(real=st.floats(1e-4, 0.999), seed=st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
-    def test_matches_exact_pipeline(self, leaves, real, seed, as_f64):
-        mult = quantize_multiplier(real)
+    def test_avgpool_matches_exact_pipeline(self, leaves, real, seed):
         rng = np.random.default_rng(seed)
-        acc = np.concatenate(
+        hw = 32
+        n = hw * hw
+        sums = np.concatenate(
             [
-                rng.integers(-(2**31), 2**31, size=2048),
-                rng.integers(-(2**20), 2**20, size=2048),
+                rng.integers(-128 * n, 127 * n + 1, size=1024),
+                rng.integers(-(2**10), 2**10, size=1024),
+                [-128 * n, 127 * n, 0, 1, -1],
+            ]
+        )
+        assert_avgpool_requantizes(
+            leaves, sums, hw, [quantize_multiplier(real)]
+        )
+
+    @given(real=st.floats(1e-4, 0.999), seed=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_pointwise_matches_exact_pipeline(self, leaves, real, seed):
+        rng = np.random.default_rng(seed)
+        targets = np.concatenate(
+            [
+                rng.integers(-(2**31), 2**31, size=32),
+                rng.integers(-(2**20), 2**20, size=32),
                 INT32_EXTREMES,
             ]
-        ).astype(np.int32)
-        got = leaves.requantize(
-            acc.astype(np.float64) if as_f64 else acc, mult
         )
-        np.testing.assert_array_equal(got, requantize(acc, mult))
-
-    @pytest.mark.parametrize("as_f64", [False, True])
-    def test_residual_add_saturates(self, leaves, as_f64):
-        mult = quantize_multiplier(0.02)
-        rng = np.random.default_rng(11)
-        acc = rng.integers(-(2**14), 2**14, size=(64, 32)).astype(np.int32)
-        residual = rng.integers(-128, 128, size=acc.shape, dtype=np.int8)
-        reference = get_execution_backend("fast")._requant(
-            acc, mult, residual
+        assert_pointwise_requantizes(
+            leaves, targets, rng.integers(-128, 128, size=3),
+            [quantize_multiplier(real)],
         )
-        got = leaves.requantize(
-            acc.astype(np.float64) if as_f64 else acc, mult, residual
-        )
-        np.testing.assert_array_equal(got, reference)
-        # both ends of the int8 range saturate somewhere in this draw
-        wide = requantize(acc, mult).astype(np.int16) + residual
-        assert (wide > 127).any() and (wide < -128).any()
-
-    def test_rejects_mismatched_residual(self, leaves):
-        acc = np.zeros((4, 4), dtype=np.int32)
-        with pytest.raises(ShapeError):
-            leaves.requantize(acc, MULT, np.zeros(15, dtype=np.int8))
-        with pytest.raises(ShapeError):
-            leaves.requantize(acc, MULT, np.zeros(16, dtype=np.int16))
 
 
 class TestPackI16Pairs:
@@ -288,96 +387,6 @@ def paired_width(q: int, stride: int, k: int) -> int:
     """Paired pixels of one ring row of the native depthwise for ``q``
     outputs per row (``paired_width`` in ``_native.c``)."""
     return (q - 1) * stride + (k + 1) // 2 * 2 - 1
-
-
-#: (k, pad, stride) of standalone depthwise calls: every pad 0-3, and
-#: with the row widths of DEPTHWISE_WIDTHS a paired ring row both
-#: narrower than pad + width (the last pixels' pairs are dropped) and
-#: wider (its right border stays zero)
-DEPTHWISE_PADS = (
-    (2, 0, 1), (2, 0, 2), (3, 1, 1), (3, 2, 2), (4, 3, 1), (5, 2, 2),
-    (7, 3, 1), (3, 3, 2),
-)
-#: one pixel, and widths off the 4- and 8-pixel blocks
-DEPTHWISE_WIDTHS = (1, 5, 6, 13)
-
-
-def assert_depthwise_pads_match_fast(leaves, rng) -> None:
-    """The depthwise leaf over DEPTHWISE_PADS x DEPTHWISE_WIDTHS (17
-    channels: a whole vector and a one-channel tail) against the NumPy tap
-    loop; both ring widths must occur."""
-    fast = get_execution_backend("fast")
-    mult = quantize_multiplier(0.02)
-    rings = set()
-    for k, pad, stride in DEPTHWISE_PADS:
-        wd = random_int8(rng, (k, k, 17))
-        for width in DEPTHWISE_WIDTHS:
-            if width + 2 * pad < k:
-                continue
-            xb = random_int8(rng, (2, 6, width, 17))
-            np.testing.assert_array_equal(
-                leaves.depthwise(xb, pack_i16_pairs(wd, 0), mult, stride, pad),
-                fast._depthwise_batch(xb, wd, mult, stride, pad),
-                err_msg=f"k={k} pad={pad} stride={stride} width={width}",
-            )
-            q = (width + 2 * pad - k) // stride + 1
-            rings.add(np.sign(paired_width(q, stride, k) - pad - width))
-    assert {-1, 1} <= rings
-
-
-class TestNativeDepthwise:
-    @given(
-        # even k pairs its taps exactly; odd k meets a zero last weight
-        k=st.sampled_from([2, 3, 4, 5, 7]),
-        s2=st.sampled_from([1, 2]),
-        s3=st.sampled_from([1, 2]),
-        batch=st.sampled_from([1, 3]),
-        h=st.integers(1, 9),
-        w=st.integers(1, 20),
-        # channel counts off, on and across the 16-lane blocks; 260
-        # spans four-vector blocks plus a single-vector remainder
-        c=st.sampled_from([1, 8, 16, 33, 260]),
-        seed=st.integers(0, 2**31),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_numpy_tap_loop(
-        self, leaves, k, s2, s3, batch, h, w, c, seed
-    ):
-        """Spatial sizes up to 9 against kernels up to 7 with same-style
-        padding: windows cross every border, often on both sides of one
-        window at once; rows up to 20 wide also run the four-pixel
-        blocks."""
-        rng = np.random.default_rng(seed)
-        xb = random_int8(rng, (batch, h, w, c))
-        wd = random_int8(rng, (k, k, c))
-        mult = quantize_multiplier(float(rng.uniform(1e-3, 0.05)))
-        pad, stride = (k - 1) // 2, s2 * s3
-        if min(h, w) + 2 * pad < k:  # an even k collapses a 1-pixel side
-            return
-        np.testing.assert_array_equal(
-            leaves.depthwise(xb, pack_i16_pairs(wd, 0), mult, stride, pad),
-            get_execution_backend("fast")._depthwise_batch(
-                xb, wd, mult, stride, pad
-            ),
-        )
-
-    def test_every_pad_and_ring_width(self, leaves):
-        assert_depthwise_pads_match_fast(leaves, np.random.default_rng(13))
-
-    def test_rejects_bad_geometry(self, leaves):
-        xb = np.zeros((1, 4, 4, 8), dtype=np.int8)
-        packed = pack_i16_pairs(np.zeros((3, 3, 8), np.int8), 0)
-        with pytest.raises(ShapeError):  # packed for 20 channels, not 8
-            leaves.depthwise(
-                xb, pack_i16_pairs(np.zeros((3, 3, 20), np.int8), 0),
-                MULT, 1, 1,
-            )
-        with pytest.raises(ShapeError):  # int8, not the int16 pairs
-            leaves.depthwise(xb, np.zeros((3, 2, 16, 2), np.int8), MULT, 1, 1)
-        with pytest.raises(ShapeError):
-            leaves.depthwise(xb, packed, MULT, 0, 1)
-        with pytest.raises(ShapeError):
-            leaves.depthwise(xb[0], packed, MULT, 1, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -679,10 +688,11 @@ def random_chain(rng, hw, c, body, classes):
 BLOCK_CHANNELS = (1, 8, 16, 17, 24, 33, 40, 48, 64, 65, 80, 240)
 #: fixed chains (hw, c, body, classes) for random_chain that reach every
 #: tail of the native register blocks: rows of every length mod 8 and of
-#: one pixel, c_mid and c_out each over BLOCK_CHANNELS, depthwise pads 0-3
-#: with the paired ring row narrower and wider than the padded expanded
-#: row, and the residual add; the first is the one ASan needs, c_out 17
-#: and 33 at 7 pixels, beside a ring narrower than its row
+#: one pixel, c_mid and c_out each over BLOCK_CHANNELS, depthwise kernels
+#: 2, 3, 4, 5 and 7 at composite strides 1, 2 and 4, pads 0-3 with the
+#: paired ring row narrower and wider than the padded expanded row, and
+#: the residual add; the first is the one ASan needs, c_out 17 and 33 at
+#: 7 pixels, beside a ring narrower than its row
 #: (TestSegmentPass.test_block_chains_cover_every_tail checks all this)
 BLOCK_CHAINS = (
     (7, 3, [("pw", 1, 17), ("bn", 3, 240, None, (1, 1, 1)),
@@ -698,6 +708,8 @@ BLOCK_CHAINS = (
             ("bn", 3, 24, 64, (1, 1, 1)), ("bn", 3, 40, 240, (1, 1, 1))],
      None),
     (5, 1, [("bn", 3, 65, 1, (1, 1, 1))], None),
+    (16, 8, [("bn", 3, 17, 16, (1, 2, 2)), ("bn", 5, 24, 8, (1, 2, 2))], 10),
+    (9, 4, [("bn", 4, 8, 16, (1, 2, 2)), ("bn", 2, 8, 5, (1, 2, 2))], None),
 )
 
 
@@ -755,15 +767,47 @@ class TestSegmentPass:
             pipe, [random_int8(rng, (hw, hw, c)) for _ in range(3)]
         )
 
+    @given(
+        # even k pairs its taps exactly; odd k meets a zero last weight
+        k=st.sampled_from([2, 3, 4, 5, 7]),
+        s2=st.sampled_from([1, 2]),
+        s3=st.sampled_from([1, 2]),
+        batch=st.sampled_from([1, 3]),
+        hw=st.integers(1, 20),
+        # channel counts off, on and across the 16-lane blocks; 260
+        # spans four-vector blocks plus a single-vector remainder
+        c_mid=st.sampled_from([1, 8, 16, 33, 260]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_depthwise_taps_match_fast(
+        self, k, s2, s3, batch, hw, c_mid, seed
+    ):
+        """The depthwise taps the native leaves run, the bottleneck's,
+        against the NumPy tap loop: sizes up to 20 against kernels up to
+        7 with same-style padding, so windows cross every border, often
+        on both sides of one window at once, and rows run every block."""
+        rng = np.random.default_rng(seed)
+        pipe = random_chain(
+            rng, hw, 3, [("bn", k, c_mid, 5, (1, s2, s3))], None
+        )
+        if not pipe.stages:  # an even k collapses a 1-pixel image
+            return
+        assert_chain_matches_fast(
+            pipe, [random_int8(rng, (hw, hw, 3)) for _ in range(batch)]
+        )
+
     def test_block_chains_cover_every_tail(self):
         """BLOCK_CHAINS reach what they are there for, read off the stage
         rows the native pass gets: no stage left out as unfusable, c_mid
         and c_out over BLOCK_CHANNELS, rows of one pixel and of every
-        length mod 8, pads 0-3, both ring widths and the residual add."""
+        length mod 8, depthwise kernels 2-7 at composite strides 1, 2 and
+        4, pads 0-3, both ring widths and the residual add."""
         rng = np.random.default_rng(0)
         turbo = get_execution_backend("turbo")
         index = {f: i for i, f in enumerate(native._STAGE_FIELDS)}
         mids, outs, rows, pads, rings = set(), set(), set(), set(), set()
+        kernels, strides = set(), set()
         residual = False
         for hw, c, body, classes in BLOCK_CHAINS:
             pipe = random_chain(rng, hw, c, body, classes)
@@ -779,12 +823,16 @@ class TestSegmentPass:
                     outs.add(d["c_out"])
                     rows |= {d["hb"], d["p"]}
                     pads.add(d["pad"])
+                    kernels.add(d["k"])
+                    strides.add(d["stride"])
                     width = paired_width(d["p"], d["stride"], d["k"])
                     rings.add(np.sign(width - d["pad"] - d["hb"]))
                     residual |= bool(d["residual"])
         assert set(BLOCK_CHANNELS) <= mids
         assert set(BLOCK_CHANNELS) <= outs
         assert 1 in rows and {n % 8 for n in rows} >= set(range(1, 8))
+        assert kernels == {2, 3, 4, 5, 7}
+        assert strides == {1, 2, 4}
         assert pads == {0, 1, 2, 3}
         assert {-1, 1} <= rings
         assert residual
@@ -845,6 +893,8 @@ class TestSegmentPass:
             native.SegmentTable([first, second])
         with pytest.raises(ShapeError):  # packed for 16 outputs, not 32
             native.pointwise_stage(4, 4, 8, 32, 1, w, mult)
+        with pytest.raises(ShapeError):  # int8, not the int16 pairs
+            native.pointwise_stage(4, 4, 8, 16, 1, w.astype(np.int8), mult)
         table = native.SegmentTable([first])
         with pytest.raises(ShapeError):
             leaves.segment(table, np.zeros((2, 4, 4, 9), np.int8))

@@ -185,8 +185,10 @@ class TestAvailabilityReport:
 # --------------------------------------------------------------------------- #
 # MTTR / MTBF from the audit trail
 # --------------------------------------------------------------------------- #
-def change(kind, at_s, *summary):
-    return ConfigChange(epoch=0, at_s=at_s, kind=kind, summary=summary)
+def change(kind, at_s, *summary, tenant=None):
+    return ConfigChange(
+        epoch=0, at_s=at_s, kind=kind, summary=summary, tenant=tenant
+    )
 
 
 class TestRepairMetrics:
@@ -197,10 +199,10 @@ class TestRepairMetrics:
 
     def test_degrade_restore_pairing(self):
         m = repair_metrics((
-            change("degrade", 1.0, "tenant 'a' degraded turbo -> fast"),
-            change("restore", 3.0, "tenant 'a' restored to turbo"),
-            change("degrade", 10.0, "tenant 'b' degraded turbo -> fast"),
-            change("restore", 14.0, "tenant 'b' restored to turbo"),
+            change("degrade", 1.0, "degraded turbo -> fast", tenant="a"),
+            change("restore", 3.0, "restored to turbo", tenant="a"),
+            change("degrade", 10.0, "degraded turbo -> fast", tenant="b"),
+            change("restore", 14.0, "restored to turbo", tenant="b"),
         ))
         assert m.failures == 2
         assert m.repairs == 2
@@ -209,16 +211,26 @@ class TestRepairMetrics:
 
     def test_pairing_is_per_tenant_fifo(self):
         m = repair_metrics((
-            change("degrade", 0.0, "tenant 'a' degraded"),
-            change("degrade", 1.0, "tenant 'b' degraded"),
-            change("restore", 5.0, "tenant 'b' restored"),
-            change("restore", 6.0, "tenant 'a' restored"),
+            change("degrade", 0.0, "degraded", tenant="a"),
+            change("degrade", 1.0, "degraded", tenant="b"),
+            change("restore", 5.0, "restored", tenant="b"),
+            change("restore", 6.0, "restored", tenant="a"),
         ))
         assert m.mttr_s == pytest.approx((4.0 + 6.0) / 2)
 
+    def test_restore_pairs_only_its_own_tenant(self):
+        """The tenant comes from the record's field, never its text."""
+        m = repair_metrics((
+            change("degrade", 0.0, "tenant 'b' degraded", tenant="a"),
+            change("degrade", 5.0, "tenant 'a' degraded", tenant="b"),
+            change("restore", 6.0, "tenant 'a' restored", tenant="b"),
+        ))
+        assert (m.failures, m.repairs) == (2, 1)
+        assert m.mttr_s == pytest.approx(1.0)
+
     def test_unmatched_restore_ignored(self):
         m = repair_metrics((
-            change("restore", 5.0, "tenant 'a' restored"),
+            change("restore", 5.0, "restored", tenant="a"),
         ))
         assert m.failures == 0 and m.repairs == 0
         assert m.mttr_s is None

@@ -207,6 +207,130 @@ class TestAutoscaler:
         assert a.decide(queue_depth=0, workers=3, service_s=None, now=0.3) == 2
 
 
+class PreChangeAutoscaler(Autoscaler):
+    """``Autoscaler.decide`` as it was before it shared
+    ``decide_target``'s hysteresis, kept line for line as the reference
+    the shared rule must reproduce."""
+
+    def decide(self, *, queue_depth, workers, service_s, now):
+        with self._lock:
+            cfg = self._config
+            if workers < cfg.min_workers:
+                return cfg.min_workers
+            if workers > cfg.max_workers:
+                return cfg.max_workers
+            desired = self.desired_workers(
+                queue_depth=queue_depth, service_s=service_s
+            )
+            if desired > workers:
+                self._low_streak = 0
+                if now < self._cool_until:
+                    return None
+                self._cool_until = now + cfg.scale_cooldown_s
+                return desired
+            backlog_batches = queue_depth / max(1, cfg.max_batch)
+            fits_smaller = (
+                workers > cfg.min_workers
+                and backlog_batches
+                <= cfg.scale_down_backlog * max(1, workers - 1)
+            )
+            if not fits_smaller:
+                self._low_streak = 0
+                return None
+            self._low_streak += 1
+            if (
+                self._low_streak < cfg.scale_patience
+                or now < self._cool_until
+            ):
+                return None
+            self._low_streak = 0
+            self._cool_until = now + cfg.scale_cooldown_s
+            return workers - 1
+
+
+@st.composite
+def scaler_configs(draw):
+    lo = draw(st.integers(1, 3))
+    return FleetConfig(
+        min_workers=lo,
+        max_workers=lo + draw(st.integers(0, 4)),
+        max_batch=draw(st.integers(1, 8)),
+        default_deadline_s=draw(st.sampled_from([0.05, 0.5, 2.0])),
+        scale_up_backlog=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        scale_down_backlog=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+        scale_patience=draw(st.integers(1, 4)),
+        scale_cooldown_s=draw(st.sampled_from([0.0, 0.05, 1.0])),
+    )
+
+
+#: one autoscaler observation: ("observe", queue depth, workers or None
+#: for the fleet's current size, service estimate, clock step), a
+#: planner target as the model mode hands it over ("plan", target,
+#: workers or None, clock step), or ("config", a FleetConfig) swapped in
+#: through apply_config
+SCALER_STEPS = st.one_of(
+    st.tuples(
+        st.just("observe"),
+        st.one_of(st.just(0), st.integers(0, 8), st.integers(0, 200)),
+        st.one_of(st.none(), st.integers(0, 10)),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.001, 0.01, 0.1, 1.0])),
+        st.sampled_from([0.0, 0.01, 0.05, 0.5, 2.0]),
+    ),
+    st.tuples(
+        st.just("plan"), st.integers(0, 10),
+        st.one_of(st.none(), st.integers(0, 10)),
+        st.sampled_from([0.0, 0.01, 0.05, 0.5, 2.0]),
+    ),
+    st.tuples(st.just("config"), scaler_configs()),
+)
+
+
+class TestAutoscalerHysteresis:
+    @given(
+        config=scaler_configs(),
+        steps=st.lists(SCALER_STEPS, min_size=1, max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decide_matches_the_pre_change_rule(self, config, steps):
+        """Random observation sequences, with planner targets and config
+        swaps between them, through ``decide`` and through the rule it
+        had before it shared ``decide_target``'s hysteresis: the same
+        answer at every step.  Workers follow each resize unless a step
+        sets them."""
+        new, old = Autoscaler(config), PreChangeAutoscaler(config)
+        now, workers, cfg = 0.0, config.min_workers, config
+        for step in steps:
+            if step[0] == "config":
+                for scaler in (new, old):
+                    scaler.apply_config(cfg, step[1])
+                cfg = step[1]
+                continue
+            if step[0] == "observe":
+                _, depth, set_workers, service_s, dt = step
+                workers = workers if set_workers is None else set_workers
+                now += dt
+                got, want = (
+                    scaler.decide(
+                        queue_depth=depth, workers=workers,
+                        service_s=service_s, now=now,
+                    )
+                    for scaler in (new, old)
+                )
+            else:
+                _, target, set_workers, dt = step
+                workers = workers if set_workers is None else set_workers
+                now += dt
+                got, want = (
+                    scaler.decide_target(
+                        target=target, workers=workers, now=now
+                    )
+                    for scaler in (new, old)
+                )
+            assert got == want, step
+            if got is not None:
+                workers = got
+
+
 class TestLiveReconfiguration:
     def test_apply_config_resizes_running_fleet(self, compiled_cls):
         cfg = FleetConfig(min_workers=1, max_workers=1, max_batch=4)

@@ -4,8 +4,9 @@ A turbo :class:`~repro.serving.Session` binds each segment's native stage
 table once, at open, and hands it to every stacked pass.  These tests pin
 what a warm batch costs and that a bound table is never stale:
 
-* a warm batch is one native segment call per segment, with no per-stage
-  leaf and no BLAS GEMM; the per-request path never calls BLAS either;
+* a warm batch is one native segment call per segment, with no BLAS
+  GEMM, NumPy requantize or tap loop; the per-request path never calls
+  BLAS either;
 * a session warms only the pack layouts its path reads: no float64 packs
   where the native leaves run, and float64 packs where they do not;
 * in-place weight mutation re-binds (bit-exact against ``"fast"``, the
@@ -112,9 +113,8 @@ def test_warm_batch_is_one_native_call_per_segment(leaves, model, segments):
     segment, other = [], []
     with ExitStack() as stack:
         stack.enter_context(counted(native._Leaves, "segment", segment))
-        for attr in ("requantize", "depthwise"):
-            stack.enter_context(counted(native._Leaves, attr, other))
-        stack.enter_context(counted(TurboBackend, "_gemm", other))
+        for attr in ("_gemm", "_requant", "_depthwise_batch"):
+            stack.enter_context(counted(TurboBackend, attr, other))
         served = session.run_batch(requests)
     assert len(segment) == segments
     assert other == []

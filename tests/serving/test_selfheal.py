@@ -15,6 +15,7 @@ Three layers:
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.serving import (
     FaultSpec,
     FleetConfig,
     RetryPolicy,
+    repair_metrics,
 )
 from repro.serving.control import Autoscaler
 from repro.serving.dispatcher import MODEL_MIN_ARRIVALS, MODEL_MIN_BATCHES
@@ -181,6 +183,62 @@ class TestRetryBudgetGuardrail:
         assert stats.failed == 0
         assert stats.retries == 0
         assert balance_holds(stats)
+
+
+# --------------------------------------------------------------------------- #
+# per-tenant audit records name their tenant
+# --------------------------------------------------------------------------- #
+class TestAuditTenants:
+    def test_quoted_tenants_pair_their_own_repairs(self, compiled_cls):
+        """Names with a quote, which ``repr`` puts in double quotes: the
+        quarantine, degrade and restore records carry their tenant, so
+        MTTR pairs each restore with its own tenant's degrade.  o'brien
+        degrades at 0 s and is never restored; d'arcy degrades at 5 s
+        and is restored at 6 s: MTTR 1 s."""
+        tenants = ("o'brien", "d'arcy")
+        plan = FaultPlan(
+            specs=(FaultSpec(site="dispatch.request", keys=(0,)),)
+        )
+        # the poisoned request fails twice (its batch and one isolation
+        # run), below the breaker's threshold
+        cfg = FleetConfig(
+            min_workers=1, max_workers=1, default_deadline_s=60.0,
+            retry=RetryPolicy(max_attempts=1), breaker_threshold=4,
+        )
+        x = make_inputs(compiled_cls, 1, seed=15)[0]
+        with Dispatcher(
+            {t: compiled_cls for t in tenants}, workers=1,
+            execution="turbo", config=cfg, faults=plan,
+        ) as d:
+            with pytest.raises(RequestFailedError):
+                d.submit(x, tenant="o'brien").result(60.0)
+            for tenant, outcomes in (
+                ("o'brien", [(False, False)] * 4),
+                ("d'arcy", [(False, False)] * 4 + [(True, True)]),
+            ):
+                breaker = d._breakers[tenant]
+                for ok, probe in outcomes:
+                    d._breaker_event(tenant, breaker.record(ok, probe=probe))
+            audit = d.stats.audit
+        breaker_events = [
+            c for c in audit if c.kind in ("degrade", "restore")
+        ]
+        assert [c.kind for c in breaker_events] == [
+            "degrade", "degrade", "restore"
+        ]
+        timed = [
+            dataclasses.replace(c, at_s=at_s)
+            for c, at_s in zip(breaker_events, (0.0, 5.0, 6.0))
+        ]
+        metrics = repair_metrics(timed)
+        assert (metrics.failures, metrics.repairs) == (2, 1)
+        assert metrics.mttr_s == pytest.approx(1.0)
+        assert [(c.kind, c.tenant) for c in audit if c.tenant] == [
+            ("quarantine", "o'brien"),
+            ("degrade", "o'brien"),
+            ("degrade", "d'arcy"),
+            ("restore", "d'arcy"),
+        ]
 
 
 # --------------------------------------------------------------------------- #
